@@ -31,50 +31,48 @@
      ABL-SKETCH- Count-Min sketched measurement vs exact
      ABL-LP    - LP formulation Eq.(1) vs Eq.(2) *)
 
-let fast = Array.exists (( = ) "--fast") Sys.argv
-let skip_micro = Array.exists (( = ) "--skip-micro") Sys.argv
-let audit = Array.exists (( = ) "--audit") Sys.argv
-let csv_dir = if Array.exists (( = ) "--csv") Sys.argv then Some "bench_csv" else None
-let json_out = Array.exists (( = ) "--json") Sys.argv
-
-let int_flag name default =
-  let rec find i =
-    if i + 1 >= Array.length Sys.argv then default
-    else if Sys.argv.(i) = name then
-      match int_of_string_opt Sys.argv.(i + 1) with
-      | Some j when j >= 1 -> j
-      | _ -> failwith (Printf.sprintf "bench: %s expects a positive integer" name)
-    else find (i + 1)
+(* Every flag is validated before any section runs: an unknown or
+   misspelled flag, a value flag without a value, or a non-positive
+   count prints the usage line and exits 2. *)
+let fast, skip_micro, audit, csv_dir, json_out, jobs, shards, scale_flows =
+  let fast = ref false and skip_micro = ref false and audit = ref false in
+  let csv = ref false and json = ref false in
+  let jobs = ref None and shards = ref None and flows = ref None in
+  let positive name r =
+    Arg.Int
+      (fun n ->
+        if n < 1 then raise (Arg.Bad (name ^ " expects a positive integer"));
+        r := Some n)
   in
-  find 1
-
-let jobs = int_flag "--jobs" (Stdx.Domain_pool.default_jobs ())
-
-(* Intra-run parallelism: flow-hash sharding inside each Flowsim run,
-   parallel setup phases inside each Pktsim run.  Orthogonal to --jobs
-   and equally determinism-free. *)
-let shards = int_flag "--shards" (Stdx.Domain_pool.default_jobs ())
-
-(* Flow volume of the SCALE section's one big packed run. *)
-let scale_flows = int_flag "--flows" (if fast then 200_000 else 1_000_000)
-
-(* Software classifier backing the packet-level ablations (ABL-CACHE,
-   ABL-FRAG).  All three have identical first-match semantics, so the
-   printed statistics are invariant; only the wall time moves. *)
-let classifier =
-  let rec find i =
-    if i + 1 >= Array.length Sys.argv then Sim.Pktsim.Trie
-    else if Sys.argv.(i) = "--classifier" then
-      match Sys.argv.(i + 1) with
-      | "trie" -> Sim.Pktsim.Trie
-      | "dectree" -> Sim.Pktsim.Dectree
-      | "linear" -> Sim.Pktsim.Linear
-      | s ->
-        failwith
-          (Printf.sprintf "bench: unknown classifier %S (trie|dectree|linear)" s)
-    else find (i + 1)
-  in
-  find 1
+  Arg.parse
+    (Arg.align
+      [
+        ("--fast", Arg.Set fast, " reduced scale (CI-friendly)");
+        ("--skip-micro", Arg.Set skip_micro,
+         " skip the wall-clock MICRO-CLASSIFIER table and bechamel section");
+        ("--audit", Arg.Set audit,
+         " run the auditable experiments under the invariant audit");
+        ("--csv", Arg.Set csv, " also write fig4/fig5/table3 CSVs to bench_csv/");
+        ("--json", Arg.Set json, " also write BENCH_pktsim.json");
+        ("--jobs", positive "--jobs" jobs, "N experiment-cell parallelism");
+        ("--shards", positive "--shards" shards, "N intra-run parallelism");
+        ("--flows", positive "--flows" flows, "N SCALE section volume");
+      ])
+    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+    "usage: main.exe [--fast] [--skip-micro] [--audit] [--csv] [--json] \
+     [--jobs N] [--shards N] [--flows N]";
+  let default = Option.value ~default:(Stdx.Domain_pool.default_jobs ()) in
+  ( !fast, !skip_micro, !audit,
+    (if !csv then Some "bench_csv" else None),
+    !json,
+    (* experiment-cell parallelism *)
+    default !jobs,
+    (* Intra-run parallelism: flow-hash sharding inside each Flowsim
+       run, parallel setup phases inside each Pktsim run.  Orthogonal
+       to --jobs and equally determinism-free. *)
+    default !shards,
+    (* flow volume of the SCALE section's one big packed run *)
+    Option.value !flows ~default:(if !fast then 200_000 else 1_000_000) )
 
 (* Perf trajectory for --json: wall seconds per experiment, plus engine
    event counts for the packet-level ones (events/sec is the packet
@@ -287,7 +285,7 @@ let () =
   let abc =
     timed "ABL-CACHE" (fun () ->
         Sim.Experiment.ablation_cache ~flows:(if fast then 500 else 2_000)
-          ~shards ~classifier ())
+          ~shards ())
   in
   note_events "ABL-CACHE" ~events:abc.Sim.Experiment.cache_events ~hops:0;
   Format.printf "%a@." Sim.Report.pp_cache_ablation abc;
@@ -306,7 +304,7 @@ let () =
   let abf =
     timed "ABL-FRAG" (fun () ->
         Sim.Experiment.ablation_fragmentation
-          ~flows:(if fast then 500 else 2_000) ~jobs ~shards ~classifier ())
+          ~flows:(if fast then 500 else 2_000) ~jobs ~shards ())
   in
   note_events "ABL-FRAG" ~events:abf.Sim.Experiment.frag_events ~hops:0;
   Format.printf "%a@." Sim.Report.pp_frag_ablation abf;
@@ -729,9 +727,9 @@ let () = run_alloc ()
 
 (* ---- Classifier scaling ------------------------------------------- *)
 
-(* Synthetic rule sets of growing size: compare the three classifiers'
-   lookup cost as the table grows (linear is O(n); the trie and the
-   decision tree should stay flat). *)
+(* Synthetic rule sets of growing size: compare the linear scan's and
+   the trie's lookup cost as the table grows (linear is O(n); the trie
+   should stay flat). *)
 let classifier_scaling () =
   Format.printf "@.##### MICRO-CLASSIFIER: matcher scaling #####@.@.";
   let rng = Stdx.Rng.create 99 in
@@ -780,23 +778,19 @@ let classifier_scaling () =
     let dt = Unix.gettimeofday () -. t0 in
     (dt /. float_of_int lookups *. 1e9, !acc)
   in
-  Format.printf "%8s %12s %12s %12s %12s %10s@." "rules" "linear ns"
-    "trie ns" "dectree ns" "trie nodes" "tree depth";
+  Format.printf "%8s %12s %12s %12s@." "rules" "linear ns" "trie ns"
+    "trie nodes";
   List.iter
     (fun n ->
       let rules = make_rules n in
       let trie = Policy.Trie.build rules in
-      let tree = Policy.Dectree.build rules in
       let lin_ns, lin_hits = time (fun f -> Policy.Rule.first_match rules f) in
       let trie_ns, trie_hits = time (fun f -> Policy.Trie.first_match trie f) in
-      let tree_ns, tree_hits = time (fun f -> Policy.Dectree.first_match tree f) in
-      (* All three must agree on every lookup — a live cross-check. *)
-      if lin_hits <> trie_hits || lin_hits <> tree_hits then
+      (* Both must agree on every lookup — a live cross-check. *)
+      if lin_hits <> trie_hits then
         failwith "classifier disagreement in scaling bench";
-      Format.printf "%8d %12.0f %12.0f %12.0f %12d %10d@." n lin_ns trie_ns
-        tree_ns
-        (Policy.Trie.node_count trie)
-        (Policy.Dectree.depth tree))
+      Format.printf "%8d %12.0f %12.0f %12d@." n lin_ns trie_ns
+        (Policy.Trie.node_count trie))
     [ 16; 64; 256; 1024; 4096 ]
 
 (* Wall-clock per-lookup timings, so this table is as nondeterministic

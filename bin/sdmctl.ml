@@ -159,18 +159,6 @@ let exp_cmd =
             "Anti-entropy sweep period for $(b,exp corrupt) (non-negative; \
              0 disables the sweep; overrides the default period sweep)")
   in
-  let classifier_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "classifier" ] ~docv:"KIND"
-          ~doc:
-            "Software classifier backing the policy tables of the \
-             packet-level experiments (cache, frag): trie (default), dectree \
-             or linear.  All three have identical first-match semantics, so \
-             the printed statistics are invariant; only classification cost \
-             differs.")
-  in
   let jobs_arg =
     Arg.(
       value
@@ -208,29 +196,10 @@ let exp_cmd =
     ]
   in
   let audited_experiments = [ "chaos"; "live"; "quorum"; "corrupt"; "reopt" ] in
-  let run which seed flows audit jobs shards corrupt_rate sweep_period
-      classifier =
+  let run which seed flows audit jobs shards corrupt_rate sweep_period =
     if audit && not (List.mem which audited_experiments) then
       Format.eprintf
         "note: --audit applies to chaos, live, quorum, corrupt and reopt only@.";
-    (* Parsed by hand so misuse exits 2 (flag-misuse policy), not
-       cmdliner's generic CLI-error code. *)
-    let classifier =
-      match classifier with
-      | None -> Sim.Pktsim.Trie
-      | Some "trie" -> Sim.Pktsim.Trie
-      | Some "dectree" -> Sim.Pktsim.Dectree
-      | Some "linear" -> Sim.Pktsim.Linear
-      | Some s ->
-        Format.eprintf
-          "--classifier expects trie, dectree or linear, got %S@." s;
-        exit 2
-    in
-    if
-      classifier <> Sim.Pktsim.Trie
-      && not (List.mem which [ "cache"; "frag" ])
-    then
-      Format.eprintf "note: --classifier applies to cache and frag only@.";
     if jobs < 1 then begin
       Format.eprintf "--jobs must be >= 1@.";
       exit 2
@@ -273,12 +242,11 @@ let exp_cmd =
         (Sim.Experiment.ablation_k ~seed ~jobs ~shards ()).Sim.Experiment.k_points
     | "cache" ->
       Format.printf "%a@." Sim.Report.pp_cache_ablation
-        (Sim.Experiment.ablation_cache ~flows:(min flows 5_000) ~seed ~shards
-           ~classifier ())
+        (Sim.Experiment.ablation_cache ~flows:(min flows 5_000) ~seed ~shards ())
     | "frag" ->
       Format.printf "%a@." Sim.Report.pp_frag_ablation
         (Sim.Experiment.ablation_fragmentation ~flows:(min flows 5_000) ~seed
-           ~jobs ~shards ~classifier ())
+           ~jobs ~shards ())
     | "epoch" ->
       let deployment =
         Sim.Experiment.build_deployment Sim.Experiment.Campus ~seed
@@ -382,7 +350,7 @@ let exp_cmd =
     (Cmd.info "exp" ~doc:"Regenerate a paper experiment or ablation")
     Term.(
       const run $ which $ seed_arg $ flows_arg 300_000 $ audit_flag $ jobs_arg
-      $ shards_arg $ corrupt_rate_arg $ sweep_period_arg $ classifier_arg)
+      $ shards_arg $ corrupt_rate_arg $ sweep_period_arg)
 
 (* ---- demo --------------------------------------------------------- *)
 

@@ -65,35 +65,6 @@ let pick row ~u =
     else last_positive row (n - 1)
   end
 
-let flow_key flow ~entity ~nf =
-  Stdx.Xhash.combine7 flow.Netpkt.Flow.src flow.Netpkt.Flow.dst
-    flow.Netpkt.Flow.proto flow.Netpkt.Flow.sport flow.Netpkt.Flow.dport
-    (Mbox.Entity.hash_key entity) (nf_salt_int nf)
-
-(* FNV-1a alone leaves per-candidate hashes correlated when only the
-   trailing id byte differs, which skews the rendezvous scores
-   measurably; [Xhash.score_unit] applies the avalanche finalizer to
-   restore independence (without boxing any intermediate). *)
-let pick_hrw row ~key =
-  let best = ref None in
-  Array.iter
-    (fun (id, w) ->
-      if w < 0.0 then invalid_arg "Selector.pick_hrw: negative weight";
-      if w > 0.0 then begin
-        (* Weighted rendezvous hashing: candidate score -w / ln(u) with
-           u = hash(key, id) in (0, 1).  The max over the row is what
-           makes the choice independent of row order and of which
-           losing candidates are present. *)
-        let u = Stdx.Xhash.score_unit key id in
-        let u = if u <= 0.0 then epsilon_float else u in
-        let score = -.w /. log u in
-        match !best with
-        | Some (bid, s) when s > score || (s = score && bid < id) -> ()
-        | _ -> best := Some (id, score)
-      end)
-    row;
-  Option.map fst !best
-
 let pick_uniform candidates ~u =
   let n = List.length candidates in
   if n = 0 then invalid_arg "Selector.pick_uniform: empty candidates";

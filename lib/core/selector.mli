@@ -21,18 +21,3 @@ val pick : (int * float) array -> u:float -> int option
 val pick_uniform : 'a list -> u:float -> 'a
 (** Uniform selection among candidates (the Rand baseline).
     Raises [Invalid_argument] on an empty list. *)
-
-val flow_key :
-  Netpkt.Flow.t -> entity:Mbox.Entity.t -> nf:Policy.Action.nf -> Int64.t
-(** The salted flow hash {!flow_point} is derived from, before the
-    unit-interval projection — the key {!pick_hrw} consumes. *)
-
-val pick_hrw : (int * float) array -> key:Int64.t -> int option
-(** Weighted rendezvous (highest-random-weight) selection: every
-    candidate id scores [-w / ln(hash(key, id))] and the highest score
-    wins.  Same contract as {!pick} — [None] when all weights are
-    zero, [Invalid_argument] on a negative weight, selection
-    frequencies proportional to the weights — but the choice is
-    independent of row order, and removing a losing candidate never
-    reshuffles the winners (minimal-disruption failover, unlike the
-    cumulative buckets of {!pick} which shift on any row change). *)

@@ -229,13 +229,11 @@ let pkt_level_controller ?(seed = 17) ~flows () =
   in
   (controller, workload)
 
-let ablation_cache ?(flows = 2_000) ?(seed = 17) ?(shards = 1)
-    ?(classifier = Pktsim.Trie) () =
+let ablation_cache ?(flows = 2_000) ?(seed = 17) ?(shards = 1) () =
   let controller, workload = pkt_level_controller ~seed ~flows () in
   let stats =
-    Pktsim.run
-      ~config:{ Pktsim.default_config with shards; classifier }
-      ~controller ~workload ()
+    Pktsim.run ~config:{ Pktsim.default_config with shards } ~controller
+      ~workload ()
   in
   (* Lookup events happen per packet *arrival* at proxies and
      middleboxes; normalise by the proxy-side injections. *)
@@ -290,12 +288,11 @@ type frag_stats = {
   frag_events : int;
 }
 
-let ablation_fragmentation ?(flows = 2_000) ?(seed = 17) ?jobs ?(shards = 1)
-    ?(classifier = Pktsim.Trie) () =
+let ablation_fragmentation ?(flows = 2_000) ?(seed = 17) ?jobs ?(shards = 1) () =
   let controller, workload = pkt_level_controller ~seed ~flows () in
   let cell label_switching () =
     Pktsim.run
-      ~config:{ Pktsim.default_config with label_switching; shards; classifier }
+      ~config:{ Pktsim.default_config with label_switching; shards }
       ~controller ~workload ()
   in
   match fan_out ?jobs [ cell true; cell false ] with

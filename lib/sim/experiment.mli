@@ -133,11 +133,8 @@ type cache_stats = {
 }
 
 val ablation_cache :
-  ?flows:int -> ?seed:int -> ?shards:int -> ?classifier:Pktsim.classifier ->
-  unit -> cache_stats
-(** Packet-level run on the campus topology quantifying Sec. III.D.
-    [classifier] (default [Trie]) selects the software classifier
-    backing the policy tables; statistics are invariant to it. *)
+  ?flows:int -> ?seed:int -> ?shards:int -> unit -> cache_stats
+(** Packet-level run on the campus topology quantifying Sec. III.D. *)
 
 type cache_size_point = {
   capacity : int option;     (** [None] = unbounded *)
@@ -162,10 +159,8 @@ type frag_stats = {
 }
 
 val ablation_fragmentation :
-  ?flows:int -> ?seed:int -> ?jobs:int -> ?shards:int ->
-  ?classifier:Pktsim.classifier -> unit -> frag_stats
-(** Packet-level run quantifying Sec. III.E.  [classifier] as in
-    {!ablation_cache}. *)
+  ?flows:int -> ?seed:int -> ?jobs:int -> ?shards:int -> unit -> frag_stats
+(** Packet-level run quantifying Sec. III.E. *)
 
 type failure_report = {
   failed_mbox : int;                  (** the killed middlebox (most-loaded IDS) *)
@@ -420,8 +415,8 @@ val ablation_corrupt :
 
 type reopt_step = {
   rs_failed : int list;    (** failure set the chains re-optimized around *)
-  rs_cold_pivots : int;    (** simplex pivots of the cold two-phase solve *)
-  rs_warm_pivots : int;    (** pivots of the warm-started solve *)
+  rs_cold_pivots : int;    (** phase-2 pivots of the cold two-phase solve *)
+  rs_warm_pivots : int;    (** phase-2 pivots of the warm-started solve *)
   rs_cold_lambda : float;
   rs_warm_lambda : float;
   rs_warm_used : bool;     (** the warm basis carried the solve *)
@@ -449,8 +444,8 @@ type reopt_row = {
   rp_routers : int;       (** topology size (routers) *)
   rp_warm : bool;         (** this row ran with [live.warm_start] *)
   rp_reopts : int;        (** configuration versions published in-run *)
-  rp_pivots : int;        (** simplex pivots across every in-run re-solve *)
-  rp_phase1 : int;        (** of those, phase-1 (and drive-out) pivots *)
+  rp_pivots : int;        (** phase-2 pivots across every in-run re-solve *)
+  rp_phase1 : int;        (** phase-1 and drive-out pivots, not in [rp_pivots] *)
   rp_warm_used : int;     (** re-solves carried by a warm basis *)
   rp_fallback : int;      (** re-solves that fell back to the cold path *)
   rp_injected : int;

@@ -1,7 +1,3 @@
-type table_source = Oracle | Distributed_ospf | Distributed_dvr
-
-type classifier = Trie | Dectree | Linear
-
 (* Live control plane (Sec. III.A-III.C run in-line): the controller
    sits at an attachment router, re-optimizes at epoch boundaries and
    on detected failures, and pushes versioned configuration updates to
@@ -60,8 +56,6 @@ type config = {
   start_window : float;
   cache_timeout : float;
   seed : int;
-  table_source : table_source;
-  classifier : classifier;
   service_rate : float;
   label_timeout : float;
   wp_cache_hit_ratio : float;
@@ -87,8 +81,6 @@ let default_config =
     start_window = 50.0;
     cache_timeout = 1e9;
     seed = 99;
-    table_source = Oracle;
-    classifier = Trie;
     service_rate = infinity;
     label_timeout = infinity;
     wp_cache_hit_ratio = 0.0;
@@ -170,8 +162,8 @@ type stats = {
   repair_window_max : float;
   (* Incremental re-optimization (all 0 when [live = None]; warm/
      fallback are 0 unless [warm_start] was on). *)
-  reopt_pivots : int;     (* simplex pivots across all in-run re-solves *)
-  reopt_phase1_pivots : int; (* of those, phase-1 (cold-path) pivots *)
+  reopt_pivots : int;     (* phase-2 pivots across all in-run re-solves *)
+  reopt_phase1_pivots : int; (* phase-1 (cold-path) pivots, not in the above *)
   reopt_warm_used : int;  (* re-solves the previous basis carried *)
   reopt_fallback : int;   (* warm attempts that fell back cold *)
   audit_report : Audit.Checker.report option; (* None unless [config.audit] *)
@@ -332,16 +324,14 @@ type world = {
   loads : float array;
   (* Per-proxy and per-middlebox soft state. *)
   proxy_caches : Policy.Flow_cache.t array;
-  (* [config.classifier]-selected matcher closures: trie, decision
-     tree or linear scan, all with identical first-match semantics *)
-  proxy_match : (Netpkt.Flow.t -> Policy.Rule.t option) array;
+  proxy_match : Policy.Trie.t array;
   mutable_label : int array; (* next label per proxy *)
   (* reverse index: label -> flow, so a teardown (which carries only
      src|label) can find the proxy's flow-cache entry; flat-keyed on
      (label, 0) so installs on the first-packet path stay cheap *)
   proxy_label_index : Netpkt.Flow.t Stdx.Flat_table.t array;
   mbox_caches : Policy.Flow_cache.t array;
-  mbox_match : (Netpkt.Flow.t -> Policy.Rule.t option) array;
+  mbox_match : Policy.Trie.t array;
   mbox_labels : Mbox.Label_table.t array;
   (* Address resolution (middleboxes by exact address; stub subnets
      via the deployment's prefix index). *)
@@ -863,7 +853,7 @@ and mbox_actions w id flow =
     None
   | None -> (
     w.counters.lookups <- w.counters.lookups + 1;
-    match w.mbox_match.(id) flow with
+    match Policy.Trie.first_match w.mbox_match.(id) flow with
     | None ->
       ignore (Policy.Flow_cache.insert_negative cache ~now flow);
       None
@@ -1190,7 +1180,7 @@ let proxy_emit w (fs : Workload.flow_spec) ~aid =
     send w ~from_router:proxy.Mbox.Proxy.router (Data (plain, now, aid))
   | None -> (
     w.counters.lookups <- w.counters.lookups + 1;
-    match w.proxy_match.(proxy_id) flow with
+    match Policy.Trie.first_match w.proxy_match.(proxy_id) flow with
     | None ->
       ignore (Policy.Flow_cache.insert_negative cache ~now flow);
       audit_admit ~admission:Audit.Event.Unmatched
@@ -2175,15 +2165,7 @@ let run ?(config = default_config) ~controller ~workload () =
   let proxy_flow_hint = max 64 (n_flows / max 1 n_proxies) in
   let mbox_flow_hint = max 64 (3 * n_flows / max 1 n_mboxes) in
   let entity_table entity =
-    let rules = Sdm.Controller.policy_table_for controller entity in
-    match config.classifier with
-    | Trie ->
-      let t = Policy.Trie.build rules in
-      fun flow -> Policy.Trie.first_match t flow
-    | Dectree ->
-      let t = Policy.Dectree.build rules in
-      fun flow -> Policy.Dectree.first_match t flow
-    | Linear -> fun flow -> Policy.Rule.first_match rules flow
+    Policy.Trie.build (Sdm.Controller.policy_table_for controller entity)
   in
   (* The shardable setup phases: per-entity policy-trie builds and the
      per-source routing tables are pure functions of the immutable
@@ -2256,17 +2238,11 @@ let run ?(config = default_config) ~controller ~workload () =
       dep;
       engine;
       tables =
-        (let topo = dep.Sdm.Deployment.topo in
-         match config.table_source with
-         | Oracle ->
-           (* One Dijkstra per source router — sharded like the trie
-              builds.  The distributed substrates converge by global
-              message exchange and stay sequential. *)
-           let g = topo.Netgraph.Topology.graph in
-           setup_init (Netgraph.Graph.node_count g) (fun u ->
-               Netgraph.Routing.table_for g u)
-         | Distributed_ospf -> (Ospf.Protocol.converge topo).Ospf.Protocol.tables
-         | Distributed_dvr -> (Dvr.Protocol.converge topo).Dvr.Protocol.tables);
+        (* One Dijkstra per source router, sharded like the trie builds;
+           live link failures reconverge through [fault.session]. *)
+        (let g = dep.Sdm.Deployment.topo.Netgraph.Topology.graph in
+         setup_init (Netgraph.Graph.node_count g) (fun u ->
+             Netgraph.Routing.table_for g u));
       ecmp_tables =
         (if config.ecmp then
            Some

@@ -24,21 +24,6 @@
     scale (≤ ~100k packets); the figure-scale experiments use
     {!Flowsim}. *)
 
-type table_source =
-  | Oracle           (** global Dijkstra (default) *)
-  | Distributed_ospf (** tables from link-state flooding ([Ospf.Protocol]) *)
-  | Distributed_dvr  (** tables from distance-vector exchange ([Dvr.Protocol]) *)
-
-(** Which software classifier backs the per-entity policy tables.  All
-    three implement identical first-match (lowest rule id) semantics —
-    property tests enforce the equivalence — so every statistic of a
-    run is invariant to this knob; only classification cost differs,
-    which is what the classifier benchmark measures. *)
-type classifier =
-  | Trie     (** hierarchical source/destination prefix trie (default) *)
-  | Dectree  (** HiCuts-style decision tree ({!Policy.Dectree}) *)
-  | Linear   (** linear scan of the rule list — the small-table baseline *)
-
 (** Live control plane (Sec. III.A-III.C run in-line).
 
     When {!config.live} is set, the controller becomes a simulated
@@ -145,15 +130,6 @@ type config = {
   start_window : float;   (** flow start times uniform in [0, w), default 50. *)
   cache_timeout : float;  (** flow-cache soft-state timeout, default 1e9 *)
   seed : int;             (** start-time jitter seed, default 99 *)
-  table_source : table_source;
-      (** where the routers' forwarding tables come from.  Middlebox
-          loads are invariant to this (enforcement decisions do not
-          depend on routes); only paths/latencies can differ on
-          equal-cost ties. *)
-  classifier : classifier;
-      (** which software classifier backs the proxy/middlebox policy
-          tables.  Match semantics are identical across all three, so
-          every statistic is invariant; default [Trie]. *)
   service_rate : float;
       (** middlebox processing capacity in packets per time unit;
           packets queue FIFO and wait when a box is busy, so an
@@ -180,9 +156,9 @@ type config = {
   ecmp : bool;
       (** equal-cost multipath: routers hash flows over every
           shortest-path next hop instead of the single deterministic
-          one.  Overrides [table_source] (ECMP sets come from the
-          global oracle).  Middlebox loads are invariant; only paths
-          vary.  Default false. *)
+          one (ECMP sets come from the same per-source shortest
+          paths).  Middlebox loads are invariant; only paths vary.
+          Default false. *)
   faults : Fault.Schedule.t option;
       (** in-run fault injection: middlebox crash/recovery, link
           fail/restore (routing then reconverges through a live
@@ -228,8 +204,8 @@ type config = {
           (never set this outside tests). *)
   shards : int;
       (** parallelism for the shardable setup phases — the per-entity
-          policy-trie builds and (under the [Oracle] substrate) the
-          per-source routing tables, all pure functions of the
+          policy-trie builds and the per-source routing tables (one
+          Dijkstra per router), all pure functions of the
           immutable controller and topology, evaluated on the domain
           pool when [shards > 1].  The event loop itself is a
           sequential discrete-event simulation and is not sharded, so
@@ -348,11 +324,12 @@ type stats = {
           none) *)
   repair_window_max : float; (** worst inject-to-repair window *)
   reopt_pivots : int;
-      (** simplex pivots across every in-run re-optimization (0 when
-          [live = None]) *)
+      (** phase-2 simplex pivots across every in-run re-optimization
+          (0 when [live = None]) *)
   reopt_phase1_pivots : int;
-      (** of those, phase-1 and drive-out pivots — cold-path work a
-          successful warm start skips entirely *)
+      (** phase-1 and drive-out pivots, counted apart from
+          [reopt_pivots] — cold-path work a successful warm start
+          skips entirely *)
   reopt_warm_used : int;
       (** re-solves the previous basis carried to optimality (0 unless
           [live.warm_start]) *)

@@ -117,7 +117,7 @@ let unit_of_limbs hi lo =
   float_of_int ((hi lsl 21) lor (lo lsr 11)) /. 9007199254740992.0
 
 (* to_unit_interval (fmix64 (fold_int key salt)) without boxing any
-   intermediate: the rendezvous selector's per-candidate score. *)
+   intermediate. *)
 let score_unit key salt =
   let hi = ref (Int64.to_int (Int64.shift_right_logical key 32) land mask32)
   and lo = ref (Int64.to_int key land mask32) in
@@ -152,8 +152,8 @@ let mix2_int k1 k2 =
 (* Murmur3's 64-bit avalanche finalizer.  FNV-1a alone leaves hashes
    of near-identical inputs correlated (only the trailing bytes
    differ); the finalizer flips every output bit with probability ~1/2
-   under a single-bit input change, which is what both the rendezvous
-   selector and the order-independent state digests need. *)
+   under a single-bit input change, which is what the
+   order-independent state digests need. *)
 let fmix64 h =
   let h = Int64.logxor h (Int64.shift_right_logical h 33) in
   let h = Int64.mul h 0xFF51AFD7ED558CCDL in

@@ -39,15 +39,15 @@ val combine5 : int -> int -> int -> int -> int -> int64
 
 val combine7 : int -> int -> int -> int -> int -> int -> int -> int64
 (** Seven-int fold: flow 5-tuple plus entity key plus salt — the
-    rendezvous/steering key. *)
+    steering key. *)
 
 val combine7_unit : int -> int -> int -> int -> int -> int -> int -> float
 (** [to_unit_interval (combine7 ...)] without boxing the hash. *)
 
 val score_unit : int64 -> int -> float
 (** [score_unit key salt = to_unit_interval (fmix64 (fold_int key
-    salt))] without boxing any intermediate: the per-candidate
-    rendezvous score. *)
+    salt))] without boxing any intermediate: an avalanche-mixed
+    per-(key, salt) score. *)
 
 val mix2_int : int -> int -> int
 (** Non-negative native-int mixer for open-addressing probe
@@ -58,9 +58,9 @@ val fmix64 : int64 -> int64
 (** Murmur3's 64-bit avalanche finalizer: a bijection on [int64] under
     which a single-bit input change flips every output bit with
     probability ~1/2.  Applied after an FNV-1a fold when downstream
-    consumers need independent-looking hashes — rendezvous selection
-    scores, and the per-entry hashes XOR-folded into order-independent
-    state digests (a raw FNV hash would let correlated entries cancel). *)
+    consumers need independent-looking hashes, such as the per-entry
+    hashes XOR-folded into order-independent state digests (a raw FNV
+    hash would let correlated entries cancel). *)
 
 val to_unit_interval : int64 -> float
 (** Map a hash to a float in [\[0, 1)], uniformly. *)

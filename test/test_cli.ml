@@ -1,19 +1,28 @@
-(* sdmctl exit-code contract: flag misuse exits 2, an unknown
-   experiment name exits 3 and lists the known names. *)
+(* CLI exit-code contract: flag misuse exits 2 (sdmctl and the bench
+   harness alike), an unknown sdmctl experiment name exits 3 and lists
+   the known names. *)
 
 (* Under `dune runtest` the cwd is the sandboxed test directory and the
-   declared dependency sits at ../bin; fall back to the build tree so a
-   bare `dune exec test/test_main.exe` from the project root works too. *)
-let sdmctl =
+   declared dependencies sit at ../bin and ../bench; fall back to the
+   build tree so a bare `dune exec test/test_main.exe` from the project
+   root works too. *)
+let find_exe dir name =
   List.find Sys.file_exists
-    [ "../bin/sdmctl.exe"; "_build/default/bin/sdmctl.exe"; "bin/sdmctl.exe" ]
+    [
+      Printf.sprintf "../%s/%s" dir name;
+      Printf.sprintf "_build/default/%s/%s" dir name;
+      Printf.sprintf "%s/%s" dir name;
+    ]
 
-(* Run sdmctl with [args], capturing combined stdout+stderr; returns
+let sdmctl = find_exe "bin" "sdmctl.exe"
+let bench = find_exe "bench" "main.exe"
+
+(* Run [exe] with [args], capturing combined stdout+stderr; returns
    (exit code, output). *)
-let run_sdmctl args =
-  let out = Filename.temp_file "sdmctl" ".out" in
+let run_exe exe args =
+  let out = Filename.temp_file "cli" ".out" in
   let cmd =
-    Printf.sprintf "%s %s > %s 2>&1" (Filename.quote sdmctl)
+    Printf.sprintf "%s %s > %s 2>&1" (Filename.quote exe)
       (String.concat " " (List.map Filename.quote args))
       (Filename.quote out)
   in
@@ -24,6 +33,8 @@ let run_sdmctl args =
   close_in ic;
   Sys.remove out;
   (code, text)
+
+let run_sdmctl = run_exe sdmctl
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -73,11 +84,30 @@ let test_bad_corrupt_flags () =
   expect_rejected "non-finite corrupt rate" [ "--corrupt-rate"; "nan" ]
     "--corrupt-rate"
 
+let test_bench_bad_flags () =
+  (* Rejected before any section runs: an unknown flag, a value flag
+     with no value, a non-positive count. *)
+  List.iter
+    (fun (label, args) ->
+      let code, out = run_exe bench args in
+      Alcotest.(check int) (label ^ " exits 2") 2 code;
+      Alcotest.(check bool) (label ^ " prints usage") true
+        (contains ~needle:"usage: main.exe" out);
+      Alcotest.(check bool) (label ^ " runs no section") false
+        (contains ~needle:"#####" out))
+    [
+      ("unknown flag", [ "--bogus" ]);
+      ("misspelled flag", [ "--fast"; "--skip-mirco" ]);
+      ("trailing --jobs", [ "--fast"; "--jobs" ]);
+      ("zero --shards", [ "--shards"; "0" ]);
+    ]
+
 let suite =
   [
     Alcotest.test_case "unknown experiment lists known names" `Quick
       test_unknown_experiment;
     Alcotest.test_case "flag misuse exits 2" `Quick test_bad_flags;
+    Alcotest.test_case "bench flag misuse exits 2" `Quick test_bench_bad_flags;
     Alcotest.test_case "corrupt flag validation exits 2" `Quick
       test_bad_corrupt_flags;
   ]

@@ -161,6 +161,21 @@ let test_warm_noop_zero_pivots () =
   Alcotest.(check int) "zero pivots on the unchanged problem" 0
     s2.Lp.Simplex.pivots
 
+let test_phase1_pivots_counted_apart () =
+  (* min x  s.t. x >= 3: the Ge row needs an artificial, so phase 1
+     pivots x into the basis, after which phase 2 is already optimal.
+     The phase-1 pivot lands in [phase1_pivots] and not in [pivots]. *)
+  let result, s, _ =
+    Lp.Simplex.solve_ext ~cost:[| 1.0 |]
+      ~rows:[| ([| 1.0 |], Lp.Simplex.Ge, 3.0) |]
+      ()
+  in
+  (match result with
+  | Lp.Simplex.Optimal v -> check_float "x" 3.0 v.(0)
+  | _ -> Alcotest.fail "expected optimal");
+  Alcotest.(check int) "phase-1 pivots" 1 s.Lp.Simplex.phase1_pivots;
+  Alcotest.(check int) "phase-2 pivots exclude phase 1" 0 s.Lp.Simplex.pivots
+
 let test_warm_cost_perturbation () =
   let m, x, y = two_var_model () in
   let _, _, snap = Lp.Model.solve_ext m in
@@ -567,6 +582,8 @@ let suite =
     Alcotest.test_case "degenerate pivots" `Quick test_degenerate;
     Alcotest.test_case "redundant equalities" `Quick test_redundant_equalities;
     Alcotest.test_case "min-max load shape" `Quick test_min_max_load_shape;
+    Alcotest.test_case "cold: phase-1 pivots counted apart" `Quick
+      test_phase1_pivots_counted_apart;
     Alcotest.test_case "warm: no-op re-solve is free" `Quick
       test_warm_noop_zero_pivots;
     Alcotest.test_case "warm: cost perturbation" `Quick

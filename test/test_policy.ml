@@ -186,6 +186,37 @@ let random_flow rng =
   Netpkt.Flow.make ~src:(addr ()) ~dst:(addr ()) ~proto:6
     ~sport:(Stdx.Rng.int rng 5) ~dport:(Stdx.Rng.int rng 5)
 
+(* The campus controller's real per-entity tables P_x — the tables the
+   packet simulator builds its tries from — probed with the workload's
+   own flows. *)
+let campus_tables =
+  lazy
+    (let dep = Sim.Experiment.build_deployment Sim.Experiment.Campus ~seed:21 in
+     let workload = Sim.Workload.generate ~deployment:dep ~seed:21 ~flows:300 () in
+     match
+       Sdm.Controller.configure dep ~rules:workload.Sim.Workload.rules
+         Sdm.Controller.Hot_potato
+     with
+     | Error e -> failwith e
+     | Ok controller ->
+       let entities =
+         List.init (Array.length dep.Sdm.Deployment.proxies) (fun i ->
+             Mbox.Entity.Proxy i)
+         @ List.init (Array.length dep.Sdm.Deployment.middleboxes) (fun i ->
+               Mbox.Entity.Middlebox i)
+       in
+       ( Array.of_list
+           (List.map (Sdm.Controller.policy_table_for controller) entities),
+         Array.map (fun f -> f.Sim.Workload.flow) workload.Sim.Workload.flows ))
+
+let trie_agrees_with_linear rules flows =
+  let trie = Policy.Trie.build rules in
+  let id = Option.map (fun r -> r.Policy.Rule.id) in
+  Array.for_all
+    (fun f ->
+      id (Policy.Rule.first_match rules f) = id (Policy.Trie.first_match trie f))
+    flows
+
 let qcheck_trie_equals_linear =
   QCheck.Test.make ~count:100
     ~name:"trie first-match = linear first-match on random rule sets"
@@ -193,74 +224,13 @@ let qcheck_trie_equals_linear =
     (fun seed ->
       let rng = Stdx.Rng.create seed in
       let rules = random_rules rng (1 + Stdx.Rng.int rng 40) in
-      let trie = Policy.Trie.build rules in
-      let ok = ref true in
-      for _ = 1 to 200 do
-        let f = random_flow rng in
-        let a =
-          Option.map (fun r -> r.Policy.Rule.id) (Policy.Rule.first_match rules f)
-        in
-        let b =
-          Option.map (fun r -> r.Policy.Rule.id) (Policy.Trie.first_match trie f)
-        in
-        if a <> b then ok := false
-      done;
-      !ok)
-
-(* --- Decision-tree classifier ------------------------------------------ *)
-
-let test_dectree_matches_table_one () =
-  let tree = Policy.Dectree.build table_one_rules in
-  Alcotest.(check int) "rule count" 6 (Policy.Dectree.rule_count tree);
-  List.iter
-    (fun f ->
-      let expected =
-        Option.map (fun r -> r.Policy.Rule.id)
-          (Policy.Rule.first_match table_one_rules f)
+      let campus, campus_flows = Lazy.force campus_tables in
+      let probes =
+        Array.init 50 (fun _ ->
+            campus_flows.(Stdx.Rng.int rng (Array.length campus_flows)))
       in
-      let got =
-        Option.map (fun r -> r.Policy.Rule.id) (Policy.Dectree.first_match tree f)
-      in
-      Alcotest.(check (option int)) (Netpkt.Flow.to_string f) expected got)
-    [
-      flow "128.40.1.1" "128.40.2.2";
-      flow "99.0.0.1" "128.40.2.2";
-      flow "128.40.1.1" "99.0.0.1";
-      flow ~sport:80 ~dport:999 "99.0.0.1" "128.40.2.2";
-      flow ~dport:22 "99.0.0.1" "99.0.0.2";
-    ]
-
-let qcheck_dectree_equals_linear =
-  QCheck.Test.make ~count:100
-    ~name:"decision tree first-match = linear first-match"
-    QCheck.(make Gen.(int_range 0 1000000))
-    (fun seed ->
-      let rng = Stdx.Rng.create seed in
-      let rules = random_rules rng (1 + Stdx.Rng.int rng 40) in
-      let tree = Policy.Dectree.build rules in
-      let ok = ref true in
-      for _ = 1 to 200 do
-        let f = random_flow rng in
-        let a =
-          Option.map (fun r -> r.Policy.Rule.id) (Policy.Rule.first_match rules f)
-        in
-        let b =
-          Option.map (fun r -> r.Policy.Rule.id) (Policy.Dectree.first_match tree f)
-        in
-        if a <> b then ok := false
-      done;
-      !ok)
-
-let test_dectree_structure_sane () =
-  let dep_rules = random_rules (Stdx.Rng.create 7) 60 in
-  let tree = Policy.Dectree.build ~binth:4 dep_rules in
-  Alcotest.(check bool) "depth bounded" true (Policy.Dectree.depth tree <= 25);
-  Alcotest.(check bool) "nodes positive" true (Policy.Dectree.node_count tree >= 1)
-
-let test_dectree_empty () =
-  let tree = Policy.Dectree.build [] in
-  Alcotest.(check bool) "no match in empty tree" true
-    (Policy.Dectree.first_match tree (flow "1.1.1.1" "2.2.2.2") = None)
+      trie_agrees_with_linear rules (Array.init 200 (fun _ -> random_flow rng))
+      && Array.for_all (fun table -> trie_agrees_with_linear table probes) campus)
 
 let test_trie_empty () =
   let trie = Policy.Trie.build [] in
@@ -657,10 +627,6 @@ let suite =
     Alcotest.test_case "P_x relevance" `Quick test_relevance;
     Alcotest.test_case "trie matches Table I" `Quick test_trie_matches_table_one;
     QCheck_alcotest.to_alcotest qcheck_trie_equals_linear;
-    Alcotest.test_case "dectree matches Table I" `Quick test_dectree_matches_table_one;
-    QCheck_alcotest.to_alcotest qcheck_dectree_equals_linear;
-    Alcotest.test_case "dectree structure sane" `Quick test_dectree_structure_sane;
-    Alcotest.test_case "dectree empty" `Quick test_dectree_empty;
     Alcotest.test_case "trie empty" `Quick test_trie_empty;
     Alcotest.test_case "DSL basic parse" `Quick test_dsl_parse_basic;
     Alcotest.test_case "DSL permit and ranges" `Quick test_dsl_parse_permit_and_ranges;

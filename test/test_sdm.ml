@@ -288,70 +288,6 @@ let test_selector_lb_chi_square () =
   if x2 > chi2_df2_p999 then
     Alcotest.failf "weighted chi-square %.2f exceeds %.2f" x2 chi2_df2_p999
 
-let test_hrw_chi_square () =
-  (* Rendezvous selection is weight-proportional too. *)
-  let row = [| (0, 1.0); (1, 2.0); (2, 7.0) |] in
-  let n = 20_000 in
-  let counts = Array.make 3 0 in
-  for i = 0 to n - 1 do
-    let key =
-      Sdm.Selector.flow_key (port_flow i) ~entity:(Mbox.Entity.Proxy 1)
-        ~nf:Policy.Action.IDS
-    in
-    match Sdm.Selector.pick_hrw row ~key with
-    | Some id -> counts.(id) <- counts.(id) + 1
-    | None -> Alcotest.fail "unexpected empty pick"
-  done;
-  let nf = float_of_int n in
-  let x2 = chi_square counts [| 0.1 *. nf; 0.2 *. nf; 0.7 *. nf |] in
-  if x2 > chi2_df2_p999 then
-    Alcotest.failf "hrw chi-square %.2f exceeds %.2f" x2 chi2_df2_p999
-
-let test_hrw_basic () =
-  Alcotest.(check (option int)) "all-zero row" None
-    (Sdm.Selector.pick_hrw [| (1, 0.0); (2, 0.0) |] ~key:42L);
-  Alcotest.(check (option int)) "single candidate" (Some 9)
-    (Sdm.Selector.pick_hrw [| (9, 0.5) |] ~key:42L);
-  Alcotest.check_raises "negative weight"
-    (Invalid_argument "Selector.pick_hrw: negative weight") (fun () ->
-      ignore (Sdm.Selector.pick_hrw [| (0, -1.0) |] ~key:42L))
-
-let qcheck_hrw_order_independent =
-  (* The property pick_hrw exists for: the winner is a function of the
-     candidate SET, not of row order, and losing candidates can leave
-     without reshuffling anyone. *)
-  QCheck.Test.make ~count:300 ~name:"pick_hrw is order-independent"
-    QCheck.(
-      make
-        Gen.(pair (int_range 0 1_000_000) (list_size (int_range 2 5) (int_range 0 10))))
-    (fun (key, weights) ->
-      let key = Int64.of_int key in
-      let row =
-        Array.of_list
-          (List.mapi (fun id w -> (id, float_of_int w /. 2.0)) weights)
-      in
-      let winner = Sdm.Selector.pick_hrw row ~key in
-      let rev = Array.of_list (List.rev (Array.to_list row)) in
-      let shifted =
-        Array.init (Array.length row) (fun i ->
-            row.((i + 1) mod Array.length row))
-      in
-      Sdm.Selector.pick_hrw rev ~key = winner
-      && Sdm.Selector.pick_hrw shifted ~key = winner
-      &&
-      (* Drop one losing candidate (if any): the winner must hold. *)
-      match winner with
-      | None -> true
-      | Some w -> (
-        match Array.to_list row |> List.filter (fun (id, _) -> id <> w) with
-        | [] -> true
-        | (loser, _) :: _ ->
-          let pruned =
-            Array.of_list
-              (Array.to_list row |> List.filter (fun (id, _) -> id <> loser))
-          in
-          Sdm.Selector.pick_hrw pruned ~key = Some w))
-
 let test_selector_pick_validation () =
   let row = [| (0, 1.0); (1, 1.0) |] in
   Alcotest.check_raises "u below range"
@@ -363,23 +299,6 @@ let test_selector_pick_validation () =
   Alcotest.check_raises "negative weight"
     (Invalid_argument "Selector.pick: negative weight") (fun () ->
       ignore (Sdm.Selector.pick [| (0, -1.0) |] ~u:0.5))
-
-let test_flow_key_salting () =
-  (* flow_key is the HRW analogue of flow_point: deterministic per
-     flow, salted by enforcement entity and network function. *)
-  let f = port_flow 17 in
-  let e = Mbox.Entity.Proxy 2 in
-  let k = Sdm.Selector.flow_key f ~entity:e ~nf:Policy.Action.FW in
-  Alcotest.(check int64) "deterministic" k
-    (Sdm.Selector.flow_key f ~entity:e ~nf:Policy.Action.FW);
-  Alcotest.(check bool) "nf salt matters" true
-    (k <> Sdm.Selector.flow_key f ~entity:e ~nf:Policy.Action.IDS);
-  Alcotest.(check bool) "entity salt matters" true
-    (k
-    <> Sdm.Selector.flow_key f ~entity:(Mbox.Entity.Middlebox 2)
-         ~nf:Policy.Action.FW);
-  Alcotest.(check bool) "flow identity matters" true
-    (k <> Sdm.Selector.flow_key (port_flow 18) ~entity:e ~nf:Policy.Action.FW)
 
 (* --- LP formulations --------------------------------------------------- *)
 
@@ -1441,13 +1360,8 @@ let suite =
       test_selector_rand_chi_square;
     Alcotest.test_case "selector LB chi-square" `Quick
       test_selector_lb_chi_square;
-    Alcotest.test_case "selector HRW chi-square" `Quick test_hrw_chi_square;
-    Alcotest.test_case "selector HRW basics" `Quick test_hrw_basic;
-    QCheck_alcotest.to_alcotest qcheck_hrw_order_independent;
     Alcotest.test_case "selector pick validation" `Quick
       test_selector_pick_validation;
-    Alcotest.test_case "selector flow_key salting" `Quick
-      test_flow_key_salting;
     Alcotest.test_case "LP balances a line" `Quick test_lp_balances_line;
     Alcotest.test_case "LP respects capacity" `Quick test_lp_respects_capacity;
     Alcotest.test_case "LP conservation properties" `Quick

@@ -234,26 +234,6 @@ let test_pktsim_delivers_everything () =
     stats.Sim.Pktsim.delivered_packets;
   Alcotest.(check int) "no drops" 0 stats.Sim.Pktsim.dropped_packets
 
-let test_pktsim_classifier_invariant () =
-  (* The classifier knob selects a matching structure, never a
-     semantics: all three implement the same first-match (lowest rule
-     id), so every statistic must be identical bit for bit. *)
-  let controller, workload = small_pkt_setup ~flows:120 () in
-  let run classifier =
-    Sim.Pktsim.run
-      ~config:{ pkt_config with classifier }
-      ~controller ~workload ()
-  in
-  let reference = run Sim.Pktsim.Trie in
-  List.iter
-    (fun (name, classifier) ->
-      let stats = run classifier in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s matches Trie exactly" name)
-        true
-        (stats = reference))
-    [ ("dectree", Sim.Pktsim.Dectree); ("linear", Sim.Pktsim.Linear) ]
-
 let test_pktsim_loads_equal_flowsim () =
   (* The headline integration invariant: per-middlebox packet loads
      from the packet-level simulation equal the flow-level ones, for
@@ -328,27 +308,6 @@ let test_pktsim_label_switching_avoids_fragments () =
   Alcotest.(check bool) "label switching reduces fragmentation" true
     (with_ls.Sim.Pktsim.fragments_created
     < without_ls.Sim.Pktsim.fragments_created / 2)
-
-let test_pktsim_routing_substrate_invariance () =
-  (* Middlebox loads do not depend on which routing protocol built the
-     routers' tables — enforcement decisions hash flows, not routes. *)
-  let controller, workload = small_pkt_setup ~flows:150 () in
-  let run source =
-    (Sim.Pktsim.run
-       ~config:{ pkt_config with table_source = source }
-       ~controller ~workload ())
-      .Sim.Pktsim.loads
-  in
-  let oracle = run Sim.Pktsim.Oracle in
-  let ospf = run Sim.Pktsim.Distributed_ospf in
-  let dvr = run Sim.Pktsim.Distributed_dvr in
-  Array.iteri
-    (fun i expected ->
-      Alcotest.(check (float 1e-6)) (Printf.sprintf "ospf mbox %d" i) expected
-        ospf.(i);
-      Alcotest.(check (float 1e-6)) (Printf.sprintf "dvr mbox %d" i) expected
-        dvr.(i))
-    oracle
 
 let test_pktsim_cache_suppresses_lookups () =
   let controller, workload = small_pkt_setup ~flows:200 () in
@@ -655,11 +614,6 @@ let qcheck_pktsim_chaos =
       let cache_capacity =
         if Stdx.Rng.bool rng then None else Some (8 + Stdx.Rng.int rng 64)
       in
-      let table_source =
-        Stdx.Rng.choose rng
-          [| Sim.Pktsim.Oracle; Sim.Pktsim.Distributed_ospf;
-             Sim.Pktsim.Distributed_dvr |]
-      in
       let config =
         {
           Sim.Pktsim.default_config with
@@ -667,7 +621,6 @@ let qcheck_pktsim_chaos =
           ecmp;
           service_rate;
           cache_capacity;
-          table_source;
           packet_interval = 0.5;
           start_window = 10.0;
         }
@@ -1735,8 +1688,6 @@ let suite =
     Alcotest.test_case "flowsim stretch sane" `Quick test_flowsim_stretch;
     Alcotest.test_case "pktsim delivers everything" `Quick
       test_pktsim_delivers_everything;
-    Alcotest.test_case "pktsim classifier knob is stats-invariant" `Quick
-      test_pktsim_classifier_invariant;
     Alcotest.test_case "pktsim loads = flowsim loads" `Slow
       test_pktsim_loads_equal_flowsim;
     Alcotest.test_case "pktsim = flowsim on Waxman" `Slow
@@ -1747,8 +1698,6 @@ let suite =
       test_pktsim_label_switching_avoids_fragments;
     Alcotest.test_case "pktsim cache suppresses lookups" `Quick
       test_pktsim_cache_suppresses_lookups;
-    Alcotest.test_case "pktsim routing-substrate invariance" `Slow
-      test_pktsim_routing_substrate_invariance;
     Alcotest.test_case "pktsim latency overhead" `Quick test_pktsim_latency_overhead;
     Alcotest.test_case "pktsim label expiry recovery" `Quick
       test_pktsim_label_expiry_recovery;
