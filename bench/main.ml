@@ -6,8 +6,8 @@
      dune exec bench/main.exe            # everything, full scale
      dune exec bench/main.exe -- --fast  # reduced scale (CI-friendly)
      dune exec bench/main.exe -- --skip-micro
-     dune exec bench/main.exe -- --csv   # also write fig4/fig5/table3 CSVs
-     dune exec bench/main.exe -- --audit # chaos/live under the invariant audit
+     dune exec bench/main.exe -- --csv   # also write the experiment CSVs
+     dune exec bench/main.exe -- --audit # auditable experiments under the invariant audit
      dune exec bench/main.exe -- --jobs 4 # experiment-cell parallelism
      dune exec bench/main.exe -- --shards 4 # intra-run flow-hash sharding
      dune exec bench/main.exe -- --flows 2000000 # SCALE section volume
@@ -16,20 +16,11 @@
    fan-out in Sim.Experiment and the flow-hash sharding in Sim.Flowsim
    are deterministic); only the wall times change.
 
-   Experiment index (see DESIGN.md section 4):
-     FIG4   - Figure 4: max load per middlebox type vs volume, campus
-     FIG5   - Figure 5: same, Waxman topology
-     TABLE3 - Table III: per-type max/min load distribution, campus
-     ABL-K     - candidate-set size sensitivity
-     ABL-CACHE - flow-cache lookup suppression (Sec. III.D)
-     ABL-FRAG  - fragmentation vs label switching (Sec. III.E)
-     ABL-FAIL  - middlebox failure: fast failover vs re-optimization
-     ABL-LIVE  - live reconfiguration: versioned config pushes vs control loss
-     ABL-CORRUPT - silent state corruption vs anti-entropy digest repair
-     ABL-REOPT - warm-started LP re-optimization vs cold re-solve
-     ABL-EPOCH - adaptation across measurement epochs (stale weights)
-     ABL-SKETCH- Count-Min sketched measurement vs exact
-     ABL-LP    - LP formulation Eq.(1) vs Eq.(2) *)
+   The experiment sections are the entries of Sim.Registry.all, in
+   order (index in DESIGN.md section 4); SCALE, ALLOC, MICRO-CLASSIFIER
+   and the bechamel section are measurements of their own.  A failed
+   self-check or, under --audit, an invariant violation exits 1 after
+   every section has run. *)
 
 (* Every flag is validated before any section runs: an unknown or
    misspelled flag, a value flag without a value, or a non-positive
@@ -52,7 +43,7 @@ let fast, skip_micro, audit, csv_dir, json_out, jobs, shards, scale_flows =
          " skip the wall-clock MICRO-CLASSIFIER table and bechamel section");
         ("--audit", Arg.Set audit,
          " run the auditable experiments under the invariant audit");
-        ("--csv", Arg.Set csv, " also write fig4/fig5/table3 CSVs to bench_csv/");
+        ("--csv", Arg.Set csv, " also write the experiment CSVs to bench_csv/");
         ("--json", Arg.Set json, " also write BENCH_pktsim.json");
         ("--jobs", positive "--jobs" jobs, "N experiment-cell parallelism");
         ("--shards", positive "--shards" shards, "N intra-run parallelism");
@@ -149,8 +140,8 @@ let seq_baselines =
    a previous artifact being present). *)
 let scale_record : string option ref = ref None
 
-(* The ABL-REOPT section's record: per-scenario pivot counts and timed
-   warm-vs-cold re-solve latency, written under the top-level "reopt"
+(* The ABL-REOPT timing's record: per-scenario replay pivot counts and
+   timed warm-vs-cold re-solve latency, written under the top-level "reopt"
    key.  Pivot counts are deterministic; only the ms figures are
    wall-clock. *)
 let reopt_record : string option ref = ref None
@@ -226,205 +217,44 @@ let timed name f =
   timings := (name, dt) :: !timings;
   r
 
-let flow_counts =
-  if fast then [ 30_000; 90_000; 150_000 ] else Sim.Experiment.default_flow_counts
+(* Set by a failed self-check or, under --audit, a violation. *)
+let failed = ref false
 
 let () =
   Format.printf "[experiment-cell parallelism: %d jobs]@." jobs;
   Format.printf "[intra-run sharding: %d shards]@." shards;
-
-  section "FIG4: campus topology (Figure 4)";
-  let fig4 =
-    timed "FIG4" (fun () ->
-        Sim.Experiment.run_figure Sim.Experiment.Campus ~flow_counts ~jobs
-          ~shards ())
+  let params =
+    { Sim.Registry.seed = 17; flows = None; fast; audit; jobs; shards }
   in
-  note_events "FIG4" ~events:fig4.Sim.Experiment.fig_events ~hops:0;
-  Format.printf "%a@." Sim.Report.pp_figure fig4;
-  write_csv "fig4.csv" (Sim.Report.figure_csv fig4);
+  List.iter
+    (fun (e : Sim.Registry.entry) ->
+      section (e.section ^ ": " ^ e.title);
+      let o = timed e.section (fun () -> e.run params) in
+      note_events e.section ~events:o.events ~hops:o.hops;
+      o.print Format.std_formatter;
+      List.iter (fun (name, content) -> write_csv name content) o.csvs;
+      List.iter
+        (fun problem ->
+          Format.eprintf "%s: %s@." e.section problem;
+          failed := true)
+        (Sim.Registry.failures ~audit o))
+    Sim.Registry.all
 
-  section "FIG5: Waxman topology (Figure 5)";
-  let fig5 =
-    timed "FIG5" (fun () ->
-        Sim.Experiment.run_figure Sim.Experiment.Waxman ~flow_counts ~jobs
-          ~shards ())
-  in
-  note_events "FIG5" ~events:fig5.Sim.Experiment.fig_events ~hops:0;
-  Format.printf "%a@." Sim.Report.pp_figure fig5;
-  write_csv "fig5.csv" (Sim.Report.figure_csv fig5);
+(* ---- ABL-REOPT timing: warm vs cold ms per re-solve ---------------- *)
 
-  section "TABLE3: load distribution, campus (Table III)";
-  let table3 =
-    timed "TABLE3" (fun () ->
-        Sim.Experiment.run_table3 ~flows:(if fast then 150_000 else 300_000)
-          ~jobs ~shards ())
-  in
-  note_events "TABLE3" ~events:table3.Sim.Experiment.t3_events ~hops:0;
-  Format.printf "%a@." Sim.Report.pp_table3 table3.Sim.Experiment.t3_rows;
-  write_csv "table3.csv" (Sim.Report.table3_csv table3.Sim.Experiment.t3_rows);
-
-  section "TABLE3-WAXMAN: load distribution, Waxman (supplementary)";
-  let table3w =
-    timed "TABLE3-WAXMAN" (fun () ->
-        Sim.Experiment.run_table3 ~scenario:Sim.Experiment.Waxman
-          ~flows:(if fast then 150_000 else 300_000) ~jobs ~shards ())
-  in
-  note_events "TABLE3-WAXMAN" ~events:table3w.Sim.Experiment.t3_events ~hops:0;
-  Format.printf "%a@." Sim.Report.pp_table3 table3w.Sim.Experiment.t3_rows;
-
-  section "ABL-K: candidate-set size sensitivity";
-  let abk =
-    timed "ABL-K" (fun () ->
-        Sim.Experiment.ablation_k ~flows:(if fast then 60_000 else 120_000)
-          ~jobs ~shards ())
-  in
-  note_events "ABL-K" ~events:abk.Sim.Experiment.k_events ~hops:0;
-  Format.printf "%a@." Sim.Report.pp_k_ablation abk.Sim.Experiment.k_points;
-
-  section "ABL-CACHE: flow cache vs multi-field lookups (Sec. III.D)";
-  let abc =
-    timed "ABL-CACHE" (fun () ->
-        Sim.Experiment.ablation_cache ~flows:(if fast then 500 else 2_000)
-          ~shards ())
-  in
-  note_events "ABL-CACHE" ~events:abc.Sim.Experiment.cache_events ~hops:0;
-  Format.printf "%a@." Sim.Report.pp_cache_ablation abc;
-
-  section "ABL-CACHESIZE: flow-cache capacity vs lookups";
-  let abcs =
-    timed "ABL-CACHESIZE" (fun () ->
-        Sim.Experiment.ablation_cache_size
-          ~flows:(if fast then 300 else 1_000) ~jobs ~shards ())
-  in
-  note_events "ABL-CACHESIZE" ~events:abcs.Sim.Experiment.cs_events ~hops:0;
-  Format.printf "%a@." Sim.Report.pp_cache_size_ablation
-    abcs.Sim.Experiment.cs_points;
-
-  section "ABL-FRAG: fragmentation vs label switching (Sec. III.E)";
-  let abf =
-    timed "ABL-FRAG" (fun () ->
-        Sim.Experiment.ablation_fragmentation
-          ~flows:(if fast then 500 else 2_000) ~jobs ~shards ())
-  in
-  note_events "ABL-FRAG" ~events:abf.Sim.Experiment.frag_events ~hops:0;
-  Format.printf "%a@." Sim.Report.pp_frag_ablation abf;
-
-  section "ABL-FAIL: middlebox failure, failover vs re-optimization";
-  let abfail =
-    timed "ABL-FAIL" (fun () ->
-        Sim.Experiment.ablation_failure
-          ~flows:(if fast then 60_000 else 120_000) ~jobs ~shards ())
-  in
-  note_events "ABL-FAIL" ~events:abfail.Sim.Experiment.fail_events ~hops:0;
-  Format.printf "%a@." Sim.Report.pp_failure_ablation abfail;
-
-  section "ABL-CHAOS: in-run faults, detection-delay sweep";
-  let abchaos =
-    timed "ABL-CHAOS" (fun () ->
-        Sim.Experiment.ablation_chaos ~flows:(if fast then 300 else 800) ~audit
-          ~jobs ~shards ())
-  in
-  note_events "ABL-CHAOS"
-    ~events:
-      (List.fold_left
-         (fun acc (r : Sim.Experiment.chaos_row) ->
-           acc + r.Sim.Experiment.chaos_events_processed)
-         abchaos.Sim.Experiment.chaos_probe_events
-         abchaos.Sim.Experiment.chaos_rows)
-    ~hops:0;
-  Format.printf "%a@." Sim.Report.pp_chaos_ablation abchaos;
-
-  section "ABL-LIVE: live reconfiguration, control-loss sweep";
-  let ablive =
-    timed "ABL-LIVE" (fun () ->
-        Sim.Experiment.ablation_live ~flows:(if fast then 300 else 500) ~audit
-          ~jobs ~shards ())
-  in
-  note_events "ABL-LIVE"
-    ~events:
-      (List.fold_left
-         (fun acc (r : Sim.Experiment.live_row) ->
-           acc + r.Sim.Experiment.live_events_processed)
-         ablive.Sim.Experiment.live_probe_events
-         ablive.Sim.Experiment.live_rows)
-    ~hops:0;
-  Format.printf "%a@." Sim.Report.pp_live_ablation ablive;
-  write_csv "abl_live.csv" (Sim.Report.live_csv ablive);
-  write_csv "abl_live_devices.csv" (Sim.Report.live_devices_csv ablive);
-
-  section "ABL-QUORUM: replicated controller under chaos";
-  let abq =
-    timed "ABL-QUORUM" (fun () ->
-        Sim.Experiment.ablation_quorum ~flows:(if fast then 200 else 400)
-          ~audit ~jobs ~shards ())
-  in
-  note_events "ABL-QUORUM"
-    ~events:
-      (List.fold_left
-         (fun acc (r : Sim.Experiment.quorum_row) ->
-           acc + r.Sim.Experiment.qr_events_processed)
-         abq.Sim.Experiment.q_probe_events abq.Sim.Experiment.q_rows)
-    ~hops:0;
-  Format.printf "%a@." Sim.Report.pp_quorum_ablation abq;
-  write_csv "abl_quorum.csv" (Sim.Report.quorum_csv abq);
-
-  section "ABL-CORRUPT: silent corruption vs anti-entropy repair";
-  let abc =
-    timed "ABL-CORRUPT" (fun () ->
-        Sim.Experiment.ablation_corrupt ~flows:(if fast then 200 else 400)
-          ~audit ~jobs ~shards ())
-  in
-  note_events "ABL-CORRUPT"
-    ~events:
-      (List.fold_left
-         (fun acc (r : Sim.Experiment.corrupt_row) ->
-           acc + r.Sim.Experiment.cr_events_processed)
-         abc.Sim.Experiment.c_probe_events abc.Sim.Experiment.c_rows)
-    ~hops:0;
-  Format.printf "%a@." Sim.Report.pp_corrupt_ablation abc;
-  write_csv "abl_corrupt.csv" (Sim.Report.corrupt_csv abc);
-
-  section "ABL-REOPT: warm-started re-optimization vs cold re-solve";
-  (* 400 flows even in fast mode: with fewer flows the measured
-     traffic support keeps growing between epochs and the in-run warm
-     path falls back on every epoch of the small campus topology,
-     hiding the pivot savings the sweep exists to show. *)
-  let reopt_flows = 400 in
-  let abreopt =
-    timed "ABL-REOPT" (fun () ->
-        Sim.Experiment.ablation_reopt ~flows:reopt_flows ~audit ~jobs ~shards ())
-  in
-  note_events "ABL-REOPT"
-    ~events:
-      (List.fold_left
-         (fun acc (r : Sim.Experiment.reopt_row) ->
-           acc + r.Sim.Experiment.rp_events_processed)
-         (List.fold_left
-            (fun acc (i : Sim.Experiment.reopt_scenario_info) ->
-              acc + i.Sim.Experiment.ri_probe_events)
-            0 abreopt.Sim.Experiment.rp_infos)
-         abreopt.Sim.Experiment.rp_rows)
-    ~hops:0;
-  Format.printf "%a@." Sim.Report.pp_reopt_ablation abreopt;
-  write_csv "abl_reopt.csv" (Sim.Report.reopt_csv abreopt);
-  write_csv "abl_reopt_steps.csv" (Sim.Report.reopt_steps_csv abreopt);
-
-  (* Timed warm-vs-cold re-solve latency: replay each scenario's churn
-     chain several times per mode and report ms per reoptimize call.
-     The pivot counts come from the deterministic report above; only
-     the ms figures here are wall-clock, so they stay on bracketed
-     lines and in the JSON. *)
+(* Replay each scenario's ABL-REOPT churn chain several times per mode
+   and report ms per reoptimize call.  The pivot counts are
+   deterministic; the ms figures are wall-clock, so everything here
+   stays on bracketed lines and in the JSON's "reopt" key. *)
+let run_reopt_timing () =
+  let flows = 400 (* the ABL-REOPT entry's volume at either scale *) in
   let time_chains scenario =
-    let steps =
-      Sim.Experiment.reopt_replay scenario ~flows:reopt_flows ~seed:17 ()
-    in
+    let steps = Sim.Experiment.reopt_replay scenario ~flows ~seed:17 () in
     let failure_sets =
       List.map (fun (s : Sim.Experiment.reopt_step) -> s.Sim.Experiment.rs_failed) steps
     in
     let deployment = Sim.Experiment.build_deployment scenario ~seed:17 in
-    let workload =
-      Sim.Workload.generate ~deployment ~seed:17 ~flows:reopt_flows ()
-    in
+    let workload = Sim.Workload.generate ~deployment ~seed:17 ~flows () in
     let traffic = Sim.Workload.measure workload in
     let base =
       match
@@ -453,123 +283,32 @@ let () =
       *. 1e3
     in
     let cold_ms = chain_ms false and warm_ms = chain_ms true in
-    let sum f = List.fold_left (fun acc s -> acc + f s) 0 steps in
+    let count f = List.fold_left (fun acc s -> acc + f s) 0 steps in
+    let name = Sim.Experiment.scenario_name scenario in
     Format.printf "[ABL-REOPT %s: cold %.2f ms/solve, warm %.2f ms/solve]@."
-      (Sim.Experiment.scenario_name scenario)
-      cold_ms warm_ms;
-    (scenario, steps, cold_ms, warm_ms,
-     sum (fun s -> s.Sim.Experiment.rs_cold_pivots),
-     sum (fun s -> s.Sim.Experiment.rs_warm_pivots))
+      name cold_ms warm_ms;
+    ( Printf.sprintf
+        "{\"name\": %S, \"replay_steps\": %d, \"replay_cold_pivots\": %d, \
+         \"replay_warm_pivots\": %d, \"cold_ms_per_solve\": %.3f, \
+         \"warm_ms_per_solve\": %.3f}"
+        name (List.length steps)
+        (count (fun s -> s.Sim.Experiment.rs_cold_pivots))
+        (count (fun s -> s.Sim.Experiment.rs_warm_pivots))
+        cold_ms warm_ms,
+      steps )
   in
-  let chain_timings =
+  let chains =
     List.map time_chains [ Sim.Experiment.Campus; Sim.Experiment.Waxman ]
   in
+  let steps = List.concat_map snd chains in
   reopt_record :=
     Some
       (Printf.sprintf "{\"scenarios\": [%s], \"agree_steps\": %d, \"total_steps\": %d}"
-         (String.concat ", "
-            (List.map
-               (fun (scenario, steps, cold_ms, warm_ms, cold_pivots, warm_pivots) ->
-                 let name = Sim.Experiment.scenario_name scenario in
-                 let row warm =
-                   List.find
-                     (fun (r : Sim.Experiment.reopt_row) ->
-                       r.Sim.Experiment.rp_scenario = name
-                       && r.Sim.Experiment.rp_warm = warm)
-                     abreopt.Sim.Experiment.rp_rows
-                 in
-                 let cold_row = row false and warm_row = row true in
-                 Printf.sprintf
-                   "{\"name\": %S, \"routers\": %d, \"replay_steps\": %d, \
-                    \"replay_cold_pivots\": %d, \"replay_warm_pivots\": %d, \
-                    \"cold_ms_per_solve\": %.3f, \"warm_ms_per_solve\": %.3f, \
-                    \"run_cold_pivots\": %d, \"run_warm_pivots\": %d, \
-                    \"run_warm_used\": %d, \"run_fallback\": %d}"
-                   name cold_row.Sim.Experiment.rp_routers (List.length steps)
-                   cold_pivots warm_pivots cold_ms warm_ms
-                   cold_row.Sim.Experiment.rp_pivots
-                   warm_row.Sim.Experiment.rp_pivots
-                   warm_row.Sim.Experiment.rp_warm_used
-                   warm_row.Sim.Experiment.rp_fallback)
-               chain_timings))
-         abreopt.Sim.Experiment.rp_agree abreopt.Sim.Experiment.rp_total);
+         (String.concat ", " (List.map fst chains))
+         (List.length (List.filter (fun s -> s.Sim.Experiment.rs_agree) steps))
+         (List.length steps))
 
-  section "ABL-EPOCH: adaptation across measurement epochs";
-  let abe =
-    timed "ABL-EPOCH" (fun () ->
-        let deployment =
-          Sim.Experiment.build_deployment Sim.Experiment.Campus ~seed:17
-        in
-        Sim.Epochsim.run ~deployment
-          ~base_flows:(if fast then 30_000 else 60_000)
-          ~jobs ~shards ())
-  in
-  note_events "ABL-EPOCH" ~events:abe.Sim.Epochsim.ep_events ~hops:0;
-  Format.printf "%a@." Sim.Report.pp_epochs abe.Sim.Epochsim.ep_rows;
-
-  section "ABL-SKETCH: Count-Min sketched measurement vs exact";
-  let absk =
-    timed "ABL-SKETCH" (fun () ->
-        Sim.Experiment.ablation_sketch
-          ~flows:(if fast then 60_000 else 120_000) ~jobs ~shards ())
-  in
-  note_events "ABL-SKETCH" ~events:absk.Sim.Experiment.sk_events ~hops:0;
-  Format.printf "%a@." Sim.Report.pp_sketch_ablation
-    absk.Sim.Experiment.sk_points;
-
-  section "ABL-LAT: end-to-end latency overhead of enforcement";
-  let ablat =
-    timed "ABL-LAT" (fun () ->
-        Sim.Experiment.ablation_latency ~flows:(if fast then 300 else 1_000)
-          ~jobs ~shards ())
-  in
-  note_events "ABL-LAT" ~events:ablat.Sim.Experiment.events_processed
-    ~hops:ablat.Sim.Experiment.router_hops;
-  Format.printf "%a@." Sim.Report.pp_latency_ablation ablat;
-
-  section "ABL-QUEUE: middlebox queueing, HP vs LB latency";
-  let abq =
-    timed "ABL-QUEUE" (fun () ->
-        Sim.Experiment.ablation_queue ~flows:(if fast then 300 else 800) ~jobs
-          ~shards ())
-  in
-  note_events "ABL-QUEUE" ~events:abq.Sim.Experiment.events_processed
-    ~hops:abq.Sim.Experiment.router_hops;
-  Format.printf "%a@." Sim.Report.pp_queue_ablation abq;
-
-  section "ABL-LP: Eq.(1) exact vs Eq.(2) simplified";
-  let abl =
-    timed "ABL-LP" (fun () ->
-        Sim.Experiment.ablation_lp ~flows:(if fast then 2_000 else 5_000) ~jobs
-          ~shards ())
-  in
-  note_events "ABL-LP" ~events:abl.Sim.Experiment.lp_events ~hops:0;
-  Format.printf "%a@." Sim.Report.pp_lp_ablation abl;
-
-  section "CONFIG: controller dissemination volume (campus, LB)";
-  let () =
-    let deployment = Sim.Experiment.build_deployment Sim.Experiment.Campus ~seed:17 in
-    let workload =
-      Sim.Workload.generate ~deployment ~seed:17 ~flows:30_000 ()
-    in
-    let traffic = Sim.Workload.measure workload in
-    match
-      Sdm.Controller.configure deployment ~rules:workload.Sim.Workload.rules
-        (Sdm.Controller.Load_balanced traffic)
-    with
-    | Ok c ->
-      Format.printf "%a@." Sdm.Controller.pp_config_summary
-        (Sdm.Controller.config_summary c);
-      Format.printf "%a@." Sim.Controlplane.pp_report
-        (Sim.Controlplane.price c ~traffic);
-      (match Sdm.Verify.check c with
-      | Ok () -> Format.printf "static verification: configuration certified@."
-      | Error vs ->
-        Format.printf "static verification FAILED (%d violations)@."
-          (List.length vs))
-    | Error e -> Format.printf "configuration failed: %s@." e
-  in
-  ()
+let () = run_reopt_timing ()
 
 (* ---- SCALE: one big run, flow-hash sharded + packed state ---------- *)
 
@@ -884,3 +623,4 @@ let run_micro () =
 
 let () = if not skip_micro then run_micro ()
 let () = if json_out then write_json ()
+let () = if !failed then exit 1

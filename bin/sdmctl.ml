@@ -122,42 +122,50 @@ let ospf_cmd =
 
 (* ---- exp --------------------------------------------------------- *)
 
+let experiment_names =
+  List.map (fun (e : Sim.Registry.entry) -> e.name) Sim.Registry.all
+
+let audited_names =
+  List.filter_map
+    (fun (e : Sim.Registry.entry) -> if e.auditable then Some e.name else None)
+    Sim.Registry.all
+
+(* Print an outcome, then exit 1 on a failed self-check or, under
+   [audit], on any invariant violation, so CI can gate on it. *)
+let conclude ~label ~audit (o : Sim.Registry.outcome) =
+  o.print Format.std_formatter;
+  match Sim.Registry.failures ~audit o with
+  | [] ->
+    if audit then Format.printf "audit: clean (%d runs)@." (List.length o.audits)
+  | problems ->
+    List.iter (Format.eprintf "%s: %s@." label) problems;
+    exit 1
+
 let exp_cmd =
   let which =
     Arg.(
       required
       & pos 0 (some string) None
       & info [] ~docv:"EXPERIMENT"
+          ~doc:("One of " ^ String.concat ", " experiment_names))
+  in
+  let flows_opt =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "flows" ] ~docv:"N"
           ~doc:
-            "fig4, fig5, table3, k, cache, frag, fail, chaos, live, quorum, \
-             corrupt, epoch, sketch, queue or lp")
+            "Number of generated flows (default: the experiment's full-scale \
+             value, as the bench runs it)")
   in
   let audit_flag =
     Arg.(
       value & flag
       & info [ "audit" ]
           ~doc:
-            "Run the packet-level rows of chaos/live/quorum/corrupt/reopt \
-             under the online invariant audit and exit non-zero on any \
-             violation")
-  in
-  let corrupt_rate_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "corrupt-rate" ] ~docv:"RATE"
-          ~doc:
-            "Corruption events per simulated time unit for $(b,exp corrupt) \
-             (non-negative; overrides the default rate sweep)")
-  in
-  let sweep_period_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "sweep-period" ] ~docv:"PERIOD"
-          ~doc:
-            "Anti-entropy sweep period for $(b,exp corrupt) (non-negative; \
-             0 disables the sweep; overrides the default period sweep)")
+            ("Run the packet-level rows of " ^ String.concat "/" audited_names
+           ^ " under the online invariant audit and exit non-zero on any \
+              violation"))
   in
   let jobs_arg =
     Arg.(
@@ -179,27 +187,7 @@ let exp_cmd =
              phases for packet-level runs).  Orthogonal to $(b,--jobs); \
              results are bit-identical for every value.")
   in
-  (* Exit policy under --audit: any invariant violation fails the
-     invocation so CI can gate on it. *)
-  let audit_verdict counts =
-    let total = List.fold_left ( + ) 0 counts in
-    if total > 0 then begin
-      Format.eprintf "audit: %d invariant violation(s)@." total;
-      exit 1
-    end
-    else Format.printf "audit: clean (%d runs)@." (List.length counts)
-  in
-  let known_experiments =
-    [
-      "fig4"; "fig5"; "table3"; "k"; "cache"; "frag"; "fail"; "chaos"; "live";
-      "quorum"; "corrupt"; "reopt"; "epoch"; "sketch"; "queue"; "lp";
-    ]
-  in
-  let audited_experiments = [ "chaos"; "live"; "quorum"; "corrupt"; "reopt" ] in
-  let run which seed flows audit jobs shards corrupt_rate sweep_period =
-    if audit && not (List.mem which audited_experiments) then
-      Format.eprintf
-        "note: --audit applies to chaos, live, quorum, corrupt and reopt only@.";
+  let run which seed flows audit jobs shards =
     if jobs < 1 then begin
       Format.eprintf "--jobs must be >= 1@.";
       exit 2
@@ -208,149 +196,31 @@ let exp_cmd =
       Format.eprintf "--shards must be >= 1@.";
       exit 2
     end;
-    (* The corrupt knobs are parsed by hand so misuse exits 2 with a
-       usage line (same policy as --jobs/--shards), not cmdliner's
-       generic CLI-error code. *)
-    let parse_nonneg name v =
-      match v with
-      | None -> None
-      | Some s -> (
-        match float_of_string_opt s with
-        | Some x when Float.is_finite x && x >= 0.0 -> Some x
-        | _ ->
-          Format.eprintf
-            "%s expects a non-negative number, got %S@.usage: sdmctl exp \
-             corrupt [--corrupt-rate RATE] [--sweep-period PERIOD]@."
-            name s;
-          exit 2)
-    in
-    let corrupt_rate = parse_nonneg "--corrupt-rate" corrupt_rate in
-    let sweep_period = parse_nonneg "--sweep-period" sweep_period in
-    match which with
-    | "fig4" ->
-      Format.printf "%a@." Sim.Report.pp_figure
-        (Sim.Experiment.run_figure Sim.Experiment.Campus ~seed ~jobs ~shards ())
-    | "fig5" ->
-      Format.printf "%a@." Sim.Report.pp_figure
-        (Sim.Experiment.run_figure Sim.Experiment.Waxman ~seed ~jobs ~shards ())
-    | "table3" ->
-      Format.printf "%a@." Sim.Report.pp_table3
-        (Sim.Experiment.run_table3 ~flows ~seed ~jobs ~shards ())
-          .Sim.Experiment.t3_rows
-    | "k" ->
-      Format.printf "%a@." Sim.Report.pp_k_ablation
-        (Sim.Experiment.ablation_k ~seed ~jobs ~shards ()).Sim.Experiment.k_points
-    | "cache" ->
-      Format.printf "%a@." Sim.Report.pp_cache_ablation
-        (Sim.Experiment.ablation_cache ~flows:(min flows 5_000) ~seed ~shards ())
-    | "frag" ->
-      Format.printf "%a@." Sim.Report.pp_frag_ablation
-        (Sim.Experiment.ablation_fragmentation ~flows:(min flows 5_000) ~seed
-           ~jobs ~shards ())
-    | "epoch" ->
-      let deployment =
-        Sim.Experiment.build_deployment Sim.Experiment.Campus ~seed
-      in
-      Format.printf "%a@." Sim.Report.pp_epochs
-        (Sim.Epochsim.run ~deployment ~seed ~jobs ~shards ()).Sim.Epochsim.ep_rows
-    | "sketch" ->
-      Format.printf "%a@." Sim.Report.pp_sketch_ablation
-        (Sim.Experiment.ablation_sketch ~flows:(min flows 120_000) ~seed ~jobs
-           ~shards ())
-          .Sim.Experiment.sk_points
-    | "fail" ->
-      Format.printf "%a@." Sim.Report.pp_failure_ablation
-        (Sim.Experiment.ablation_failure ~flows:(min flows 120_000) ~seed ~jobs
-           ~shards ())
-    | "chaos" ->
-      let r =
-        Sim.Experiment.ablation_chaos ~flows:(min flows 800) ~seed ~audit ~jobs
-          ~shards ()
-      in
-      Format.printf "%a@." Sim.Report.pp_chaos_ablation r;
-      if audit then
-        audit_verdict
-          (List.filter_map
-             (fun (row : Sim.Experiment.chaos_row) -> row.Sim.Experiment.chaos_audit)
-             r.Sim.Experiment.chaos_rows)
-    | "live" ->
-      let r =
-        Sim.Experiment.ablation_live ~flows:(min flows 500) ~seed ~audit ~jobs
-          ~shards ()
-      in
-      Format.printf "%a@." Sim.Report.pp_live_ablation r;
-      if audit then
-        audit_verdict
-          (List.filter_map
-             (fun (row : Sim.Experiment.live_row) -> row.Sim.Experiment.live_audit)
-             r.Sim.Experiment.live_rows)
-    | "quorum" ->
-      let r =
-        Sim.Experiment.ablation_quorum ~flows:(min flows 400) ~seed ~audit
-          ~jobs ~shards ()
-      in
-      Format.printf "%a@." Sim.Report.pp_quorum_ablation r;
-      if audit then
-        audit_verdict
-          (List.filter_map
-             (fun (row : Sim.Experiment.quorum_row) ->
-               row.Sim.Experiment.qr_audit)
-             r.Sim.Experiment.q_rows)
-    | "corrupt" ->
-      let rates = Option.map (fun r -> [ r ]) corrupt_rate in
-      let sweep_periods =
-        Option.map
-          (fun p -> if p = 0.0 then [ None ] else [ Some p ])
-          sweep_period
-      in
-      let r =
-        Sim.Experiment.ablation_corrupt ~flows:(min flows 400) ~seed ~audit
-          ?rates ?sweep_periods ~jobs ~shards ()
-      in
-      Format.printf "%a@." Sim.Report.pp_corrupt_ablation r;
-      if audit then
-        audit_verdict
-          (List.filter_map
-             (fun (row : Sim.Experiment.corrupt_row) ->
-               row.Sim.Experiment.cr_audit)
-             r.Sim.Experiment.c_rows)
-    | "reopt" ->
-      let r =
-        Sim.Experiment.ablation_reopt ~flows:(min flows 400) ~seed ~audit ~jobs
-          ~shards ()
-      in
-      Format.printf "%a@." Sim.Report.pp_reopt_ablation r;
-      (* The differential oracle fails the invocation on its own, audit
-         or not: a warm optimum disagreeing with the cold solve is a
-         solver bug, not an enforcement-invariant violation. *)
-      if r.Sim.Experiment.rp_agree <> r.Sim.Experiment.rp_total then begin
-        Format.eprintf "reopt: warm/cold objective mismatch (%d/%d steps)@."
-          r.Sim.Experiment.rp_agree r.Sim.Experiment.rp_total;
-        exit 1
-      end;
-      if audit then
-        audit_verdict
-          (List.filter_map
-             (fun (row : Sim.Experiment.reopt_row) -> row.Sim.Experiment.rp_audit)
-             r.Sim.Experiment.rp_rows)
-    | "queue" ->
-      Format.printf "%a@." Sim.Report.pp_queue_ablation
-        (Sim.Experiment.ablation_queue ~seed ~jobs ~shards ())
-    | "lp" ->
-      Format.printf "%a@." Sim.Report.pp_lp_ablation
-        (Sim.Experiment.ablation_lp ~flows:(min flows 10_000) ~seed ~jobs ~shards ())
-    | s ->
+    match Sim.Registry.find which with
+    | None ->
       (* A distinct exit code (3) so scripts can tell "no such
          experiment" from flag misuse (2). *)
-      Format.eprintf "unknown experiment %S; known experiments: %s@." s
-        (String.concat ", " known_experiments);
+      Format.eprintf "unknown experiment %S; known experiments: %s@." which
+        (String.concat ", " experiment_names);
       exit 3
+    | Some e ->
+      if e.default_flows = None && flows <> None then begin
+        Format.eprintf
+          "%s sweeps a fixed list of flow volumes; --flows does not apply@."
+          which;
+        exit 2
+      end;
+      if audit && not e.auditable then
+        Format.eprintf "note: --audit applies to %s only@."
+          (String.concat ", " audited_names);
+      conclude ~label:which ~audit:(audit && e.auditable)
+        (e.run { seed; flows; fast = false; audit; jobs; shards })
   in
   Cmd.v
     (Cmd.info "exp" ~doc:"Regenerate a paper experiment or ablation")
     Term.(
-      const run $ which $ seed_arg $ flows_arg 300_000 $ audit_flag $ jobs_arg
-      $ shards_arg $ corrupt_rate_arg $ sweep_period_arg)
+      const run $ which $ seed_arg $ flows_opt $ audit_flag $ jobs_arg
+      $ shards_arg)
 
 (* ---- demo --------------------------------------------------------- *)
 
@@ -394,27 +264,8 @@ let demo_cmd =
 
 let verify_cmd =
   let run scenario seed flows =
-    let dep = Sim.Experiment.build_deployment scenario ~seed in
-    let workload = Sim.Workload.generate ~deployment:dep ~seed ~flows () in
-    let traffic = Sim.Workload.measure workload in
-    match
-      Sdm.Controller.configure dep ~rules:workload.Sim.Workload.rules
-        (Sdm.Controller.Load_balanced traffic)
-    with
-    | Error e ->
-      Format.eprintf "configuration failed: %s@." e;
-      exit 1
-    | Ok c -> (
-      Format.printf "%a@." Sdm.Controller.pp_config_summary
-        (Sdm.Controller.config_summary c);
-      Format.printf "%a@." Sim.Controlplane.pp_report
-        (Sim.Controlplane.price c ~traffic);
-      match Sdm.Verify.check c with
-      | Ok () -> Format.printf "static verification: configuration certified@."
-      | Error vs ->
-        Format.printf "static verification: %d violations@." (List.length vs);
-        List.iter (fun v -> Format.printf "  %a@." Sdm.Verify.pp_violation v) vs;
-        exit 1)
+    conclude ~label:"verify" ~audit:false
+      (Sim.Registry.config scenario ~seed ~flows)
   in
   Cmd.v
     (Cmd.info "verify"

@@ -52,7 +52,7 @@ let test_unknown_experiment () =
   List.iter
     (fun name ->
       Alcotest.(check bool) (name ^ " listed") true (contains ~needle:name out))
-    [ "fig4"; "table3"; "chaos"; "live"; "quorum"; "corrupt"; "lp" ]
+    (List.map (fun (e : Sim.Registry.entry) -> e.name) Sim.Registry.all)
 
 let test_bad_flags () =
   let code, out = run_sdmctl [ "exp"; "table3"; "--jobs"; "0" ] in
@@ -60,29 +60,31 @@ let test_bad_flags () =
   Alcotest.(check bool) "explains" true (contains ~needle:"--jobs" out);
   let code, out = run_sdmctl [ "exp"; "table3"; "--shards"; "0" ] in
   Alcotest.(check int) "bad --shards exits 2" 2 code;
-  Alcotest.(check bool) "explains" true (contains ~needle:"--shards" out)
+  Alcotest.(check bool) "explains" true (contains ~needle:"--shards" out);
+  let code, out = run_sdmctl [ "exp"; "fig4"; "--flows"; "10" ] in
+  Alcotest.(check int) "fig4 --flows exits 2" 2 code;
+  Alcotest.(check bool) "explains" true (contains ~needle:"--flows" out)
 
-let test_bad_corrupt_flags () =
-  (* The corrupt experiment's numeric knobs: anything non-numeric,
-     negative, or non-finite exits 2 with the usage line. *)
-  let expect_rejected label args needle =
-    let code, out = run_sdmctl ([ "exp"; "corrupt" ] @ args) in
-    Alcotest.(check int) (label ^ " exits 2") 2 code;
-    Alcotest.(check bool) (label ^ " names the flag") true
-      (contains ~needle out);
-    Alcotest.(check bool) (label ^ " prints usage") true
-      (contains ~needle:"usage: sdmctl exp corrupt" out)
-  in
-  expect_rejected "non-numeric sweep period" [ "--sweep-period"; "abc" ]
-    "--sweep-period";
-  expect_rejected "negative sweep period" [ "--sweep-period=-3" ]
-    "--sweep-period";
-  expect_rejected "non-numeric corrupt rate" [ "--corrupt-rate"; "lots" ]
-    "--corrupt-rate";
-  expect_rejected "negative corrupt rate" [ "--corrupt-rate=-0.1" ]
-    "--corrupt-rate";
-  expect_rejected "non-finite corrupt rate" [ "--corrupt-rate"; "nan" ]
-    "--corrupt-rate"
+(* An explicit --flows is honoured, not capped: sdmctl prints exactly
+   the report of the experiment run at that volume, and nothing else. *)
+let test_flows_honoured () =
+  let show pp v = Format.asprintf "%a@." pp v in
+  List.iter
+    (fun (name, expected) ->
+      let code, out = run_sdmctl [ "exp"; name; "--flows"; "200" ] in
+      Alcotest.(check int) (name ^ " exits 0") 0 code;
+      Alcotest.(check string) (name ^ " at 200 flows") expected out)
+    [
+      ( "cache",
+        show Sim.Report.pp_cache_ablation
+          (Sim.Experiment.ablation_cache ~flows:200 ()) );
+      ( "queue",
+        show Sim.Report.pp_queue_ablation
+          (Sim.Experiment.ablation_queue ~flows:200 ()) );
+      ( "k",
+        show Sim.Report.pp_k_ablation
+          (Sim.Experiment.ablation_k ~flows:200 ()).Sim.Experiment.k_points );
+    ]
 
 let test_bench_bad_flags () =
   (* Rejected before any section runs: an unknown flag, a value flag
@@ -108,6 +110,6 @@ let suite =
       test_unknown_experiment;
     Alcotest.test_case "flag misuse exits 2" `Quick test_bad_flags;
     Alcotest.test_case "bench flag misuse exits 2" `Quick test_bench_bad_flags;
-    Alcotest.test_case "corrupt flag validation exits 2" `Quick
-      test_bad_corrupt_flags;
+    Alcotest.test_case "explicit --flows is honoured" `Quick
+      test_flows_honoured;
   ]

@@ -153,10 +153,7 @@ let test_live_devices_csv () =
   Alcotest.(check string) "proxy row" "proxy0,4,0,1,2" (List.nth lines 1);
   Alcotest.(check string) "mbox row" "mbox7,3,1,5,4" (List.nth lines 2)
 
-let test_live_and_chaos_printers_audit_column () =
-  let out = render Sim.Report.pp_live_ablation synthetic_live_report in
-  Alcotest.(check bool) "live header has audit" true (contains out "audit");
-  Alcotest.(check bool) "live shows dash when off" true (contains out " -");
+let synthetic_chaos_report =
   let chaos_row ~audit =
     {
       Sim.Experiment.chaos_mode = "LB+failover";
@@ -172,23 +169,61 @@ let test_live_and_chaos_printers_audit_column () =
       chaos_audit = audit;
     }
   in
-  let report =
-    {
-      Sim.Experiment.chaos_victim = 11;
-      chaos_victim_nf = Policy.Action.IDS;
-      chaos_crash_at = 25.0;
-      chaos_link = Some (0, 2);
-      chaos_link_fail_at = 45.0;
-      chaos_link_restore_at = 65.0;
-      chaos_control_loss = 0.02;
-      chaos_probe_events = 9_000;
-      chaos_rows = [ chaos_row ~audit:None; chaos_row ~audit:(Some 7) ];
-    }
-  in
+  {
+    Sim.Experiment.chaos_victim = 11;
+    chaos_victim_nf = Policy.Action.IDS;
+    chaos_crash_at = 25.0;
+    chaos_link = Some (0, 2);
+    chaos_link_fail_at = 45.0;
+    chaos_link_restore_at = 65.0;
+    chaos_control_loss = 0.02;
+    chaos_probe_events = 9_000;
+    chaos_rows = [ chaos_row ~audit:None; chaos_row ~audit:(Some 7) ];
+  }
+
+let test_live_and_chaos_printers_audit_column () =
+  let out = render Sim.Report.pp_live_ablation synthetic_live_report in
+  Alcotest.(check bool) "live header has audit" true (contains out "audit");
+  Alcotest.(check bool) "live shows dash when off" true (contains out " -");
+  let report = synthetic_chaos_report in
   let out = render Sim.Report.pp_chaos_ablation report in
   Alcotest.(check bool) "chaos header has audit" true (contains out "audit");
   Alcotest.(check bool) "chaos shows dash when off" true (contains out " -");
   Alcotest.(check bool) "chaos shows the count when on" true (contains out "7")
+
+(* The verdict sdmctl and the bench both exit 1 on. *)
+let test_registry_verdicts () =
+  let chaos = Sim.Registry.chaos_outcome synthetic_chaos_report in
+  Alcotest.(check (list int)) "chaos audit counts" [ 7 ] chaos.audits;
+  Alcotest.(check int) "chaos events" 17_000 chaos.events;
+  Alcotest.(check int) "violations fail under audit" 1
+    (List.length (Sim.Registry.failures ~audit:true chaos));
+  Alcotest.(check int) "and only under audit" 0
+    (List.length (Sim.Registry.failures ~audit:false chaos));
+  let reopt agree =
+    Sim.Registry.reopt_outcome
+      {
+        Sim.Experiment.rp_control_loss = 0.02;
+        rp_infos = [];
+        rp_rows = [];
+        rp_replays = [];
+        rp_agree = agree;
+        rp_total = 10;
+      }
+  in
+  Alcotest.(check bool) "agreeing replay passes" true
+    ((reopt 10).failure = None);
+  Alcotest.(check int) "warm/cold mismatch fails, audit or not" 1
+    (List.length (Sim.Registry.failures ~audit:false (reopt 9)))
+
+let test_registry_ids_unique () =
+  let unique what f =
+    let ids = List.map f Sim.Registry.all in
+    Alcotest.(check int) (what ^ " unique") (List.length ids)
+      (List.length (List.sort_uniq compare ids))
+  in
+  unique "names" (fun (e : Sim.Registry.entry) -> e.name);
+  unique "sections" (fun (e : Sim.Registry.entry) -> e.section)
 
 let suite =
   [
@@ -201,4 +236,6 @@ let suite =
     Alcotest.test_case "live devices CSV" `Quick test_live_devices_csv;
     Alcotest.test_case "audit column in printers" `Quick
       test_live_and_chaos_printers_audit_column;
+    Alcotest.test_case "registry verdicts" `Quick test_registry_verdicts;
+    Alcotest.test_case "registry ids unique" `Quick test_registry_ids_unique;
   ]
