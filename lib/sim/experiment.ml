@@ -208,103 +208,88 @@ let ablation_k ?(scenario = Campus) ?(flows = 120_000) ?(seed = 17) ?jobs
     k_events = List.fold_left (fun acc (_, e) -> acc + e) 0 results;
   }
 
-type cache_stats = {
-  packets : int;
-  lookups : int;
-  hits : int;
-  negative_hits : int;
-  lookup_fraction : float;
-  cache_events : int;
-}
+(* ---- Packet-level setup ------------------------------------------- *)
 
 (* Packet-level runs use a smaller flow population: they simulate every
-   single packet. *)
-let pkt_level_controller ?(seed = 17) ~flows () =
-  let deployment = build_deployment Campus ~seed in
+   single packet.  Every one of them starts from one deployment and one
+   workload; [controller] configures a steering plan on demand, so an
+   experiment solves only the LPs it uses. *)
+type pkt_setup = {
+  deployment : Sdm.Deployment.t;
+  workload : Workload.t;
+  seed : int;
+  audit : bool;
+  shards : int;
+}
+
+let pkt_setup ?(scenario = Campus) ?(audit = false) ~seed ~shards ~flows () =
+  let deployment = build_deployment scenario ~seed in
   let workload = Workload.generate ~deployment ~seed ~flows () in
-  let traffic = Workload.measure workload in
-  let controller =
-    configure_exn deployment ~rules:workload.Workload.rules
-      (Sdm.Controller.Load_balanced traffic)
-  in
-  (controller, workload)
+  { deployment; workload; seed; audit; shards }
+
+let controller p plan =
+  configure_exn p.deployment ~rules:p.workload.Workload.rules
+    (match plan with
+    | `HP -> Sdm.Controller.Hot_potato
+    | `LB -> Sdm.Controller.Load_balanced (Workload.measure p.workload))
+
+let pkt_run p ?(config = Pktsim.default_config) controller =
+  Pktsim.run ~config:{ config with shards = p.shards } ~controller
+    ~workload:p.workload ()
+
+(* A sweep row: [faults] and [live] on top of [config], under the
+   setup's audit flag. *)
+let row_run p ?(config = Pktsim.default_config) ?live ~faults controller =
+  pkt_run p ~config:{ config with faults = Some faults; live; audit = p.audit }
+    controller
+
+(* Control-channel loss is drawn from seed + 3 in every sweep. *)
+let schedule p ~loss events =
+  Fault.Schedule.make ~control_loss:loss ~loss_seed:(p.seed + 3) events
+
+(* The live control plane with [per_horizon] epochs across the probe's
+   horizon and four reconcile rounds per epoch. *)
+let epochs (probe : Pktsim.stats) per_horizon =
+  let epoch = probe.Pktsim.sim_time /. per_horizon in
+  {
+    Pktsim.default_live with
+    epoch_interval = epoch;
+    reconcile_interval = epoch /. 4.0;
+  }
+
+let audit_violations (stats : Pktsim.stats) =
+  Option.map
+    (fun (r : Audit.Checker.report) -> r.Audit.Checker.violations)
+    stats.Pktsim.audit_report
 
 let ablation_cache ?(flows = 2_000) ?(seed = 17) ?(shards = 1) () =
-  let controller, workload = pkt_level_controller ~seed ~flows () in
-  let stats =
-    Pktsim.run ~config:{ Pktsim.default_config with shards } ~controller
-      ~workload ()
-  in
-  (* Lookup events happen per packet *arrival* at proxies and
-     middleboxes; normalise by the proxy-side injections. *)
-  let packets = stats.Pktsim.injected_packets in
-  {
-    packets;
-    lookups = stats.Pktsim.multi_field_lookups;
-    hits = stats.Pktsim.cache_hits;
-    negative_hits = stats.Pktsim.cache_negative_hits;
-    lookup_fraction =
-      float_of_int stats.Pktsim.multi_field_lookups
-      /. float_of_int (max 1 packets);
-    cache_events = stats.Pktsim.events_processed;
-  }
+  let p = pkt_setup ~seed ~shards ~flows () in
+  pkt_run p (controller p `LB)
 
-type cache_size_point = {
-  capacity : int option;
-  size_lookup_fraction : float;
-  size_evictions : int;
-}
-
-type cache_size_sweep = { cs_points : cache_size_point list; cs_events : int }
+type cache_size_point = { capacity : int option; size_stats : Pktsim.stats }
 
 let ablation_cache_size ?(flows = 1_000) ?(seed = 17) ?jobs ?(shards = 1) () =
-  let controller, workload = pkt_level_controller ~seed ~flows () in
+  let p = pkt_setup ~seed ~shards ~flows () in
+  let lb = controller p `LB in
   let cell capacity () =
-    let stats =
-      Pktsim.run
-        ~config:{ Pktsim.default_config with cache_capacity = capacity; shards }
-        ~controller ~workload ()
-    in
-    ( {
-        capacity;
-        size_lookup_fraction =
-          float_of_int stats.Pktsim.multi_field_lookups
-          /. float_of_int (max 1 stats.Pktsim.injected_packets);
-        size_evictions = stats.Pktsim.cache_evictions;
-      },
-      stats.Pktsim.events_processed )
+    {
+      capacity;
+      size_stats =
+        pkt_run p ~config:{ Pktsim.default_config with cache_capacity = capacity } lb;
+    }
   in
-  let results = fan_out ?jobs (List.map cell [ Some 16; Some 64; Some 256; None ]) in
-  {
-    cs_points = List.map fst results;
-    cs_events = List.fold_left (fun acc (_, e) -> acc + e) 0 results;
-  }
+  fan_out ?jobs (List.map cell [ Some 16; Some 64; Some 256; None ])
 
-type frag_stats = {
-  fragments_ip_over_ip : int;
-  fragments_label_switched : int;
-  tunneled_legs : int;
-  label_switched_legs : int;
-  frag_events : int;
-}
+type frag_stats = { label_switched : Pktsim.stats; ip_over_ip : Pktsim.stats }
 
 let ablation_fragmentation ?(flows = 2_000) ?(seed = 17) ?jobs ?(shards = 1) () =
-  let controller, workload = pkt_level_controller ~seed ~flows () in
+  let p = pkt_setup ~seed ~shards ~flows () in
+  let lb = controller p `LB in
   let cell label_switching () =
-    Pktsim.run
-      ~config:{ Pktsim.default_config with label_switching; shards }
-      ~controller ~workload ()
+    pkt_run p ~config:{ Pktsim.default_config with label_switching } lb
   in
   match fan_out ?jobs [ cell true; cell false ] with
-  | [ with_ls; without_ls ] ->
-    {
-      fragments_ip_over_ip = without_ls.Pktsim.fragments_created;
-      fragments_label_switched = with_ls.Pktsim.fragments_created;
-      tunneled_legs = with_ls.Pktsim.tunneled_packets;
-      label_switched_legs = with_ls.Pktsim.label_switched_packets;
-      frag_events =
-        with_ls.Pktsim.events_processed + without_ls.Pktsim.events_processed;
-    }
+  | [ label_switched; ip_over_ip ] -> { label_switched; ip_over_ip }
   | _ -> assert false
 
 type failure_report = {
@@ -394,15 +379,8 @@ let ablation_failure ?(scenario = Campus) ?(flows = 120_000) ?(seed = 17) ?jobs
 type chaos_row = {
   chaos_mode : string;
   chaos_delay : float; (* infinity on the no-failover row *)
-  chaos_injected : int;
-  chaos_delivered : int;
-  chaos_dropped : int;
-  chaos_violations : int;
-  chaos_retries : int;
-  chaos_recovery : float;
   chaos_max_surviving : float;
-  chaos_events_processed : int;
-  chaos_audit : int option;
+  chaos_stats : Pktsim.stats;
 }
 
 type chaos_report = {
@@ -413,32 +391,19 @@ type chaos_report = {
   chaos_link_fail_at : float;
   chaos_link_restore_at : float;
   chaos_control_loss : float;
-  chaos_probe_events : int;
+  chaos_probe : Pktsim.stats;
   chaos_rows : chaos_row list;
 }
 
-let audit_violations (stats : Pktsim.stats) =
-  Option.map
-    (fun (r : Audit.Checker.report) -> r.Audit.Checker.violations)
-    stats.Pktsim.audit_report
-
 let ablation_chaos ?(flows = 500) ?(seed = 17) ?(audit = false)
     ?(detection_delays = [ 2.0; 10.0; 40.0 ]) ?jobs ?(shards = 1) () =
-  let deployment = build_deployment Campus ~seed in
-  let workload = Workload.generate ~deployment ~seed ~flows () in
-  let rules = workload.Workload.rules in
-  let traffic = Workload.measure workload in
-  let lb = configure_exn deployment ~rules (Sdm.Controller.Load_balanced traffic) in
-  let hp = configure_exn deployment ~rules Sdm.Controller.Hot_potato in
+  let p = pkt_setup ~seed ~audit ~shards ~flows () in
+  let lb = controller p `LB and hp = controller p `HP in
   (* A fault-free probe run fixes the victim (the busiest IDS box under
      LB) and the horizon the fault schedule is placed within. *)
-  let probe =
-    Pktsim.run
-      ~config:{ Pktsim.default_config with shards }
-      ~controller:lb ~workload ()
-  in
+  let probe = pkt_run p lb in
   let nf = Policy.Action.IDS in
-  let victims = Sdm.Deployment.middleboxes_of deployment nf in
+  let victims = Sdm.Deployment.middleboxes_of p.deployment nf in
   let victim =
     List.fold_left
       (fun best (m : Mbox.Middlebox.t) ->
@@ -452,7 +417,7 @@ let ablation_chaos ?(flows = 500) ?(seed = 17) ?(audit = false)
   (* A gateway-core link to fail and restore mid-run: campus cores are
      dual-homed to both gateways, so the graph stays connected and
      OSPF reroutes around the outage. *)
-  let topo = deployment.Sdm.Deployment.topo in
+  let topo = p.deployment.Sdm.Deployment.topo in
   let link =
     match Netgraph.Topology.gateways topo with
     | [] -> None
@@ -465,8 +430,8 @@ let ablation_chaos ?(flows = 500) ?(seed = 17) ?(audit = false)
         (Netgraph.Graph.neighbors topo.Netgraph.Topology.graph gw)
   in
   let control_loss = 0.02 in
-  let schedule =
-    Fault.Schedule.make ~control_loss ~loss_seed:(seed + 3)
+  let faults =
+    schedule p ~loss:control_loss
       (Fault.Schedule.[ { at = crash_at; what = Mbox_crash victim } ]
       @
       match link with
@@ -484,32 +449,16 @@ let ablation_chaos ?(flows = 500) ?(seed = 17) ?(audit = false)
         if m.id = victim then acc else Stdlib.max acc stats.Pktsim.loads.(m.id))
       0.0 victims
   in
-  let row ~mode ~controller ~failover ~delay =
-    let config =
-      {
-        Pktsim.default_config with
-        faults = Some schedule;
-        detection_delay = delay;
-        failover;
-        audit;
-        shards;
-      }
+  let row ~mode ~controller ~failover ~delay () =
+    let stats =
+      row_run p ~faults controller
+        ~config:{ Pktsim.default_config with detection_delay = delay; failover }
     in
-    let stats = Pktsim.run ~config ~controller ~workload () in
     {
       chaos_mode = mode;
       chaos_delay = (if failover then delay else infinity);
-      chaos_injected = stats.Pktsim.injected_packets;
-      chaos_delivered = stats.Pktsim.delivered_packets;
-      chaos_dropped = stats.Pktsim.dropped_packets;
-      chaos_violations = stats.Pktsim.policy_violations;
-      chaos_retries = stats.Pktsim.control_retries;
-      chaos_recovery =
-        (if stats.Pktsim.policy_violations = 0 then 0.0
-         else Stdlib.max 0.0 (stats.Pktsim.last_violation_time -. crash_at));
       chaos_max_surviving = max_surviving stats;
-      chaos_events_processed = stats.Pktsim.events_processed;
-      chaos_audit = audit_violations stats;
+      chaos_stats = stats;
     }
   in
   {
@@ -520,73 +469,36 @@ let ablation_chaos ?(flows = 500) ?(seed = 17) ?(audit = false)
     chaos_link_fail_at = link_fail_at;
     chaos_link_restore_at = link_restore_at;
     chaos_control_loss = control_loss;
-    chaos_probe_events = probe.Pktsim.events_processed;
+    chaos_probe = probe;
     chaos_rows =
       fan_out ?jobs
         (List.concat_map
            (fun d ->
              [
-               (fun () ->
-                 row ~mode:"HP+failover" ~controller:hp ~failover:true ~delay:d);
-               (fun () ->
-                 row ~mode:"LB+failover" ~controller:lb ~failover:true ~delay:d);
+               row ~mode:"HP+failover" ~controller:hp ~failover:true ~delay:d;
+               row ~mode:"LB+failover" ~controller:lb ~failover:true ~delay:d;
              ])
            detection_delays
-        @ [
-            (fun () ->
-              row ~mode:"LB, no failover" ~controller:lb ~failover:false
-                ~delay:0.0);
-          ]);
+        @ [ row ~mode:"LB, no failover" ~controller:lb ~failover:false ~delay:0.0 ]);
   }
 
 (* ---- ABL-LIVE: live reconfiguration, control-loss sweep ---------- *)
 
-type live_row = {
-  live_loss : float;
-  live_injected : int;
-  live_delivered : int;
-  live_violations : int;
-  live_versions : int;
-  live_pushes : int;
-  live_acks : int;
-  live_lost : int;
-  live_degraded : int;
-  live_stale : int;
-  live_bytes : int;
-  live_max_load : float;
-  live_events_processed : int;
-  live_audit : int option;
-}
-
-type live_device = {
-  dev_name : string;
-  dev_version : int;
-  dev_lag : int;
-  dev_retries : int;
-  dev_lost : int;
-}
+type live_row = { live_loss : float; live_stats : Pktsim.stats }
 
 type live_report = {
   live_epoch : float;
   live_reconcile : float;
-  live_stale_max : float;
-  live_clairvoyant_max : float;
-  live_probe_events : int;
+  live_stale : Pktsim.stats;
+  live_clairvoyant : Pktsim.stats;
+  live_devices : string list;
   live_rows : live_row list;
-  live_devices : live_device list;
 }
 
 let ablation_live ?(flows = 500) ?(seed = 17) ?(audit = false)
     ?(control_losses = [ 0.0; 0.02; 0.10 ]) ?jobs ?(shards = 1) () =
-  let deployment = build_deployment Campus ~seed in
-  let workload = Workload.generate ~deployment ~seed ~flows () in
-  let rules = workload.Workload.rules in
-  let traffic = Workload.measure workload in
-  let hp = configure_exn deployment ~rules Sdm.Controller.Hot_potato in
-  let lb = configure_exn deployment ~rules (Sdm.Controller.Load_balanced traffic) in
-  let max_load (stats : Pktsim.stats) =
-    Array.fold_left Stdlib.max 0.0 stats.Pktsim.loads
-  in
+  let p = pkt_setup ~seed ~audit ~shards ~flows () in
+  let hp = controller p `HP and lb = controller p `LB in
   (* A probe run under the stale hot-potato plan fixes the horizon the
      re-optimization epochs are spread across, and is itself the
      stale-weight baseline the live rows should beat.  The clairvoyant
@@ -594,125 +506,32 @@ let ablation_live ?(flows = 500) ?(seed = 17) ?(audit = false)
      best any measurement-driven loop can converge to — is independent
      of it, so the two probes fan out together. *)
   let stale, clairvoyant =
-    match
-      fan_out ?jobs
-        [
-          (fun () ->
-            Pktsim.run
-              ~config:{ Pktsim.default_config with shards }
-              ~controller:hp ~workload ());
-          (fun () ->
-            Pktsim.run
-              ~config:{ Pktsim.default_config with shards }
-              ~controller:lb ~workload ());
-        ]
-    with
+    match fan_out ?jobs [ (fun () -> pkt_run p hp); (fun () -> pkt_run p lb) ] with
     | [ s; c ] -> (s, c)
     | _ -> assert false
   in
-  let epoch = stale.Pktsim.sim_time /. 5.0 in
-  let reconcile = epoch /. 4.0 in
-  let live =
-    {
-      Pktsim.default_live with
-      epoch_interval = epoch;
-      reconcile_interval = reconcile;
-    }
+  let live = epochs stale 5.0 in
+  (* loss = 0 still goes through the fault plumbing so the control
+     channel is exercised end-to-end; only the Bernoulli parameter
+     differs across the sweep. *)
+  let row loss () =
+    { live_loss = loss; live_stats = row_run p ~faults:(schedule p ~loss []) ~live hp }
   in
-  let run_loss loss =
-    let faults =
-      (* loss = 0 still goes through the fault plumbing so the control
-         channel is exercised end-to-end; only the Bernoulli parameter
-         differs across the sweep. *)
-      Some (Fault.Schedule.make ~control_loss:loss ~loss_seed:(seed + 3) [])
-    in
-    let config =
-      { Pktsim.default_config with faults; live = Some live; audit; shards }
-    in
-    let stats = Pktsim.run ~config ~controller:hp ~workload () in
-    let row =
-      {
-        live_loss = loss;
-        live_injected = stats.Pktsim.injected_packets;
-        live_delivered = stats.Pktsim.delivered_packets;
-        live_violations = stats.Pktsim.policy_violations;
-        live_versions = stats.Pktsim.final_config_version;
-        live_pushes = stats.Pktsim.config_pushes;
-        live_acks = stats.Pktsim.config_acks;
-        live_lost = stats.Pktsim.config_lost;
-        live_degraded = stats.Pktsim.config_degraded;
-        live_stale = stats.Pktsim.stale_devices;
-        live_bytes = stats.Pktsim.config_bytes;
-        live_max_load = max_load stats;
-        live_events_processed = stats.Pktsim.events_processed;
-        live_audit = audit_violations stats;
-      }
-    in
-    (row, stats)
-  in
-  let runs = fan_out ?jobs (List.map (fun loss () -> run_loss loss) control_losses) in
-  (* Per-device attribution comes from the lossiest run — the one
-     where retries and version lag actually have something to show. *)
-  let devices =
-    match
-      List.fold_left
-        (fun best (row, stats) ->
-          match best with
-          | Some (brow, _) when brow.live_loss >= row.live_loss -> best
-          | _ -> Some (row, stats))
-        None runs
-    with
-    | None -> []
-    | Some (_, stats) ->
-      let n_proxies = Array.length deployment.Sdm.Deployment.proxies in
-      List.init
-        (Array.length stats.Pktsim.entity_config_version)
-        (fun i ->
-          {
-            dev_name =
-              (if i < n_proxies then Printf.sprintf "proxy%d" i
-               else Printf.sprintf "mbox%d" (i - n_proxies));
-            dev_version = stats.Pktsim.entity_config_version.(i);
-            dev_lag =
-              stats.Pktsim.final_config_version
-              - stats.Pktsim.entity_config_version.(i);
-            dev_retries = stats.Pktsim.entity_control_retries.(i);
-            dev_lost = stats.Pktsim.entity_control_lost.(i);
-          })
-  in
+  let names prefix n = List.init n (Printf.sprintf "%s%d" prefix) in
   {
-    live_epoch = epoch;
-    live_reconcile = reconcile;
-    live_stale_max = max_load stale;
-    live_clairvoyant_max = max_load clairvoyant;
-    live_probe_events =
-      stale.Pktsim.events_processed + clairvoyant.Pktsim.events_processed;
-    live_rows = List.map fst runs;
-    live_devices = devices;
+    live_epoch = live.Pktsim.epoch_interval;
+    live_reconcile = live.Pktsim.reconcile_interval;
+    live_stale = stale;
+    live_clairvoyant = clairvoyant;
+    live_devices =
+      names "proxy" (Array.length p.deployment.Sdm.Deployment.proxies)
+      @ names "mbox" (Array.length p.deployment.Sdm.Deployment.middleboxes);
+    live_rows = fan_out ?jobs (List.map row control_losses);
   }
 
 (* ---- ABL-QUORUM: replicated controller under chaos --------------- *)
 
-type quorum_row = {
-  qr_scenario : string;
-  qr_loss : float;
-  qr_injected : int;
-  qr_delivered : int;
-  qr_violations : int;
-  qr_versions : int;
-  qr_rounds : int;
-  qr_commits : int;
-  qr_aborts : int;
-  qr_msgs : int;
-  qr_lost : int;
-  qr_elections : int;
-  qr_degraded : int;
-  qr_stale : int;
-  qr_uncommitted : int;
-  qr_replicas : int list;
-  qr_events_processed : int;
-  qr_audit : int option;
-}
+type quorum_row = { qr_scenario : string; qr_loss : float; qr_stats : Pktsim.stats }
 
 type quorum_report = {
   q_replicas : int;
@@ -722,36 +541,21 @@ type quorum_report = {
   q_partition_at : float;
   q_heal_at : float;
   q_leader_router : int;
-  q_probe_events : int;
+  q_probe : Pktsim.stats;
   q_rows : quorum_row list;
 }
 
 let ablation_quorum ?(flows = 500) ?(seed = 17) ?(audit = false) ?jobs
     ?(shards = 1) () =
-  let deployment = build_deployment Campus ~seed in
-  let workload = Workload.generate ~deployment ~seed ~flows () in
-  let rules = workload.Workload.rules in
-  let hp = configure_exn deployment ~rules Sdm.Controller.Hot_potato in
+  let p = pkt_setup ~seed ~audit ~shards ~flows () in
+  let hp = controller p `HP in
   (* A fault-free probe under the stale plan fixes the horizon the
      epochs and the fault schedule are placed within. *)
-  let probe =
-    Pktsim.run
-      ~config:{ Pktsim.default_config with shards }
-      ~controller:hp ~workload ()
-  in
+  let probe = pkt_run p hp in
   let horizon = probe.Pktsim.sim_time in
-  let epoch = horizon /. 5.0 in
-  let reconcile = epoch /. 4.0 in
   let replicas = 3 in
-  let live =
-    {
-      Pktsim.default_live with
-      epoch_interval = epoch;
-      reconcile_interval = reconcile;
-      replicas;
-    }
-  in
-  let leader_router = Controlplane.default_router deployment in
+  let live = { (epochs probe 5.0) with Pktsim.replicas } in
+  let leader_router = Controlplane.default_router p.deployment in
   let crash_at = 0.3 *. horizon in
   let partition_at = 0.35 *. horizon in
   let heal_at = 0.7 *. horizon in
@@ -763,78 +567,40 @@ let ablation_quorum ?(flows = 500) ?(seed = 17) ?(audit = false) ?jobs
     List.map
       (fun { Netgraph.Graph.dst; _ } -> (leader_router, dst))
       (Netgraph.Graph.neighbors
-         deployment.Sdm.Deployment.topo.Netgraph.Topology.graph leader_router)
+         p.deployment.Sdm.Deployment.topo.Netgraph.Topology.graph leader_router)
   in
-  let schedule_of = function
-    | "leader crash" ->
-      ( 0.02,
-        Fault.Schedule.make ~control_loss:0.02 ~loss_seed:(seed + 3)
-          Fault.Schedule.[ { at = crash_at; what = Ctrl_crash 0 } ] )
-    | "split brain" ->
-      ( 0.02,
-        Fault.Schedule.make ~control_loss:0.02 ~loss_seed:(seed + 3)
-          (List.map
-             (fun (u, v) ->
-               Fault.Schedule.{ at = partition_at; what = Link_fail (u, v) })
-             leader_links
+  let scenarios =
+    Fault.Schedule.
+      [
+        ("leader crash", 0.02, [ { at = crash_at; what = Ctrl_crash 0 } ]);
+        ( "split brain",
+          0.02,
+          List.map
+            (fun (u, v) -> { at = partition_at; what = Link_fail (u, v) })
+            leader_links
           @ List.map
-              (fun (u, v) ->
-                Fault.Schedule.{ at = heal_at; what = Link_restore (u, v) })
-              leader_links) )
-    | "quorum loss" ->
-      (0.45, Fault.Schedule.make ~control_loss:0.45 ~loss_seed:(seed + 3) [])
-    | s -> invalid_arg ("ablation_quorum: unknown scenario " ^ s)
+              (fun (u, v) -> { at = heal_at; what = Link_restore (u, v) })
+              leader_links );
+        ("quorum loss", 0.45, []);
+      ]
   in
-  let row scenario =
-    let loss, schedule = schedule_of scenario in
-    let config =
-      {
-        Pktsim.default_config with
-        faults = Some schedule;
-        live = Some live;
-        audit;
-        shards;
-      }
-    in
-    let stats = Pktsim.run ~config ~controller:hp ~workload () in
+  let row (scenario, loss, events) () =
     {
       qr_scenario = scenario;
       qr_loss = loss;
-      qr_injected = stats.Pktsim.injected_packets;
-      qr_delivered = stats.Pktsim.delivered_packets;
-      qr_violations = stats.Pktsim.policy_violations;
-      qr_versions = stats.Pktsim.final_config_version;
-      qr_rounds = stats.Pktsim.quorum_rounds;
-      qr_commits = stats.Pktsim.quorum_commits;
-      qr_aborts = stats.Pktsim.quorum_aborts;
-      qr_msgs = stats.Pktsim.quorum_msgs;
-      qr_lost = stats.Pktsim.quorum_lost;
-      qr_elections = stats.Pktsim.leader_changes;
-      qr_degraded = stats.Pktsim.config_degraded;
-      qr_stale = stats.Pktsim.stale_devices;
-      (* Versions that reached the staged window without a quorum
-         commit — the headline safety number; always 0. *)
-      qr_uncommitted =
-        stats.Pktsim.reoptimizations - stats.Pktsim.quorum_commits;
-      qr_replicas = Array.to_list stats.Pktsim.replica_versions;
-      qr_events_processed = stats.Pktsim.events_processed;
-      qr_audit = audit_violations stats;
+      qr_stats = row_run p ~faults:(schedule p ~loss events) ~live hp;
     }
   in
   {
     q_replicas = replicas;
-    q_epoch = epoch;
-    q_reconcile = reconcile;
+    q_epoch = live.Pktsim.epoch_interval;
+    q_reconcile = live.Pktsim.reconcile_interval;
     q_crash_at = crash_at;
     q_partition_at = partition_at;
     q_heal_at = heal_at;
     q_leader_router = leader_router;
-    q_probe_events = probe.Pktsim.events_processed;
-    q_rows =
-      fan_out ?jobs
-        (List.map
-           (fun s () -> row s)
-           [ "leader crash"; "split brain"; "quorum loss" ]);
+    q_probe = probe;
+    q_rows = fan_out ?jobs (List.map row scenarios);
   }
 
 (* ---- ABL-CORRUPT: silent corruption vs anti-entropy repair ------- *)
@@ -843,122 +609,65 @@ type corrupt_row = {
   cr_strategy : string;
   cr_rate : float;
   cr_sweep : float option;
-  cr_injected : int;
-  cr_delivered : int;
-  cr_corruptions : int;
-  cr_manifested : int;
-  cr_detected : int;
-  cr_repaired : int;
-  cr_violations : int;
-  cr_window_mean : float;
-  cr_window_max : float;
-  cr_sweep_rounds : int;
-  cr_sweep_msgs : int;
-  cr_sweep_bytes : int;
-  cr_events_processed : int;
-  cr_audit : int option;
+  cr_stats : Pktsim.stats;
 }
 
 type corrupt_report = {
-  c_horizon : float;
   c_epoch : float;
   c_reconcile : float;
   c_default_sweep : float;
-  c_probe_events : int;
+  c_probe : Pktsim.stats;
   c_rows : corrupt_row list;
 }
 
 let ablation_corrupt ?(flows = 500) ?(seed = 17) ?(audit = false)
     ?(rates = [ 0.1; 0.4 ]) ?sweep_periods ?jobs ?(shards = 1) () =
-  let deployment = build_deployment Campus ~seed in
-  let workload = Workload.generate ~deployment ~seed ~flows () in
-  let rules = workload.Workload.rules in
-  let traffic = Workload.measure workload in
-  let n_proxies = Array.length deployment.Sdm.Deployment.proxies in
-  let n_mboxes = Array.length deployment.Sdm.Deployment.middleboxes in
-  let hp = configure_exn deployment ~rules Sdm.Controller.Hot_potato in
-  let lb = configure_exn deployment ~rules (Sdm.Controller.Load_balanced traffic) in
+  let p = pkt_setup ~seed ~audit ~shards ~flows () in
+  let n_proxies = Array.length p.deployment.Sdm.Deployment.proxies in
+  let n_mboxes = Array.length p.deployment.Sdm.Deployment.middleboxes in
+  let hp = controller p `HP and lb = controller p `LB in
   (* A fault-free probe fixes the horizon the corruption burst and the
      sweep cadence are placed within. *)
-  let probe =
-    Pktsim.run
-      ~config:{ Pktsim.default_config with shards }
-      ~controller:hp ~workload ()
-  in
+  let probe = pkt_run p hp in
   let horizon = probe.Pktsim.sim_time in
-  let epoch = horizon /. 5.0 in
-  let reconcile = epoch /. 4.0 in
+  let live = epochs probe 5.0 in
   let default_sweep = horizon /. 12.0 in
   let sweep_periods =
     match sweep_periods with
     | Some ps -> ps
     | None -> [ None; Some default_sweep ]
   in
-  let row (name, controller) rate sweep =
+  let row (name, controller) rate sweep () =
+    (* The corruption burst is a pure function of (seed, rate, horizon,
+       deployment) — identical for every sweep period, so a row pair
+       differs only in whether the sweep is armed.  A mild 2% control
+       loss keeps the query/re-push ladder honest. *)
     let faults =
-      (* The corruption burst is a pure function of (seed, rate,
-         horizon, deployment) — identical for every sweep period, so a
-         row pair differs only in whether the sweep is armed.  A mild
-         2% control loss keeps the query/re-push ladder honest. *)
-      Fault.Schedule.make ~control_loss:0.02 ~loss_seed:(seed + 3)
+      schedule p ~loss:0.02
         (Fault.Schedule.corruption_events ~seed:(seed + 5) ~rate ~horizon
            ~n_proxies ~n_mboxes)
     in
-    let live =
-      {
-        Pktsim.default_live with
-        epoch_interval = epoch;
-        reconcile_interval = reconcile;
-        sweep_period = sweep;
-      }
-    in
-    let config =
-      {
-        Pktsim.default_config with
-        faults = Some faults;
-        live = Some live;
-        audit;
-        shards;
-      }
-    in
-    let stats = Pktsim.run ~config ~controller ~workload () in
     {
       cr_strategy = name;
       cr_rate = rate;
       cr_sweep = sweep;
-      cr_injected = stats.Pktsim.injected_packets;
-      cr_delivered = stats.Pktsim.delivered_packets;
-      cr_corruptions = stats.Pktsim.corruptions_injected;
-      cr_manifested = stats.Pktsim.corruptions_manifested;
-      cr_detected = stats.Pktsim.corruptions_detected;
-      cr_repaired = stats.Pktsim.corruptions_repaired;
-      cr_violations = stats.Pktsim.policy_violations;
-      cr_window_mean = stats.Pktsim.repair_window_mean;
-      cr_window_max = stats.Pktsim.repair_window_max;
-      cr_sweep_rounds = stats.Pktsim.sweep_rounds;
-      cr_sweep_msgs = stats.Pktsim.sweep_msgs;
-      cr_sweep_bytes = stats.Pktsim.sweep_bytes;
-      cr_events_processed = stats.Pktsim.events_processed;
-      cr_audit = audit_violations stats;
+      cr_stats =
+        row_run p ~faults ~live:{ live with Pktsim.sweep_period = sweep } controller;
     }
   in
-  let cells =
-    List.concat_map
-      (fun strategy ->
-        List.concat_map
-          (fun rate -> List.map (fun sweep -> (strategy, rate, sweep)) sweep_periods)
-          rates)
-      [ ("HP", hp); ("LB", lb) ]
-  in
   {
-    c_horizon = horizon;
-    c_epoch = epoch;
-    c_reconcile = reconcile;
+    c_epoch = live.Pktsim.epoch_interval;
+    c_reconcile = live.Pktsim.reconcile_interval;
     c_default_sweep = default_sweep;
-    c_probe_events = probe.Pktsim.events_processed;
+    c_probe = probe;
     c_rows =
       fan_out ?jobs
-        (List.map (fun (s, rate, sweep) () -> row s rate sweep) cells);
+        (List.concat_map
+           (fun strategy ->
+             List.concat_map
+               (fun rate -> List.map (row strategy rate) sweep_periods)
+               rates)
+           [ ("HP", hp); ("LB", lb) ]);
   }
 
 (* ---- ABL-REOPT: warm-started re-optimization vs cold re-solve ---- *)
@@ -1033,19 +742,7 @@ type reopt_row = {
   rp_scenario : string;
   rp_routers : int;
   rp_warm : bool;
-  rp_reopts : int;
-  rp_pivots : int;
-  rp_phase1 : int;
-  rp_warm_used : int;
-  rp_fallback : int;
-  rp_injected : int;
-  rp_delivered : int;
-  rp_violations : int;
-  rp_versions : int;
-  rp_degraded : int;
-  rp_max_load : float;
-  rp_events_processed : int;
-  rp_audit : int option;
+  rp_stats : Pktsim.stats;
 }
 
 type reopt_scenario_info = {
@@ -1058,7 +755,7 @@ type reopt_scenario_info = {
   ri_recover1 : float;
   ri_crash2 : float;
   ri_recover2 : float;
-  ri_probe_events : int;
+  ri_probe : Pktsim.stats;
 }
 
 type reopt_report = {
@@ -1075,29 +772,22 @@ let ablation_reopt ?(flows = 500) ?(seed = 17) ?(audit = false) ?jobs
   let control_loss = 0.02 in
   let scenarios = [ Campus; Waxman ] in
   let scenario_cell scenario () =
-    let deployment = build_deployment scenario ~seed in
-    let workload = Workload.generate ~deployment ~seed ~flows () in
-    let rules = workload.Workload.rules in
-    let hp = configure_exn deployment ~rules Sdm.Controller.Hot_potato in
+    let p = pkt_setup ~scenario ~seed ~audit ~shards ~flows () in
+    let hp = controller p `HP in
     (* A fault-free probe under the stale plan fixes the horizon the
        epochs and the churn schedule are placed within. *)
-    let probe =
-      Pktsim.run
-        ~config:{ Pktsim.default_config with shards }
-        ~controller:hp ~workload ()
-    in
+    let probe = pkt_run p hp in
     let horizon = probe.Pktsim.sim_time in
     (* Twice the usual epoch cadence: the sweep's point is the re-solve
        sequence itself, and a denser cadence gives the warm chain
        same-layout neighbours (churn-free epochs late in the run) as
        well as layout-changing ones (around the churn window). *)
-    let epoch = horizon /. 10.0 in
-    let reconcile = epoch /. 4.0 in
-    let v1, v2 = churn_victims deployment in
+    let live = epochs probe 10.0 in
+    let v1, v2 = churn_victims p.deployment in
     let crash1 = 0.15 *. horizon and recover1 = 0.35 *. horizon in
     let crash2 = 0.45 *. horizon and recover2 = 0.65 *. horizon in
-    let schedule =
-      Fault.Schedule.make ~control_loss ~loss_seed:(seed + 3)
+    let faults =
+      schedule p ~loss:control_loss
         Fault.Schedule.
           [
             { at = crash1; what = Mbox_crash v1 };
@@ -1108,58 +798,29 @@ let ablation_reopt ?(flows = 500) ?(seed = 17) ?(audit = false) ?jobs
     in
     let routers =
       Netgraph.Graph.node_count
-        deployment.Sdm.Deployment.topo.Netgraph.Topology.graph
+        p.deployment.Sdm.Deployment.topo.Netgraph.Topology.graph
     in
     let run warm =
-      let live =
-        {
-          Pktsim.default_live with
-          epoch_interval = epoch;
-          reconcile_interval = reconcile;
-          warm_start = warm;
-        }
-      in
-      let config =
-        {
-          Pktsim.default_config with
-          faults = Some schedule;
-          live = Some live;
-          audit;
-          shards;
-        }
-      in
-      let stats = Pktsim.run ~config ~controller:hp ~workload () in
       {
         rp_scenario = scenario_name scenario;
         rp_routers = routers;
         rp_warm = warm;
-        rp_reopts = stats.Pktsim.reoptimizations;
-        rp_pivots = stats.Pktsim.reopt_pivots;
-        rp_phase1 = stats.Pktsim.reopt_phase1_pivots;
-        rp_warm_used = stats.Pktsim.reopt_warm_used;
-        rp_fallback = stats.Pktsim.reopt_fallback;
-        rp_injected = stats.Pktsim.injected_packets;
-        rp_delivered = stats.Pktsim.delivered_packets;
-        rp_violations = stats.Pktsim.policy_violations;
-        rp_versions = stats.Pktsim.final_config_version;
-        rp_degraded = stats.Pktsim.config_degraded;
-        rp_max_load = Array.fold_left Stdlib.max 0.0 stats.Pktsim.loads;
-        rp_events_processed = stats.Pktsim.events_processed;
-        rp_audit = audit_violations stats;
+        rp_stats =
+          row_run p ~faults ~live:{ live with Pktsim.warm_start = warm } hp;
       }
     in
     let info =
       {
         ri_name = scenario_name scenario;
         ri_routers = routers;
-        ri_epoch = epoch;
-        ri_reconcile = reconcile;
+        ri_epoch = live.Pktsim.epoch_interval;
+        ri_reconcile = live.Pktsim.reconcile_interval;
         ri_victims = (v1, v2);
         ri_crash1 = crash1;
         ri_recover1 = recover1;
         ri_crash2 = crash2;
         ri_recover2 = recover2;
-        ri_probe_events = probe.Pktsim.events_processed;
+        ri_probe = probe;
       }
     in
     (* The cold/warm pair stays inside the cell so both rows share one
@@ -1251,90 +912,45 @@ let ablation_sketch ?(flows = 120_000) ?(seed = 17) ?jobs ?shards () =
       exact_events + List.fold_left (fun acc (_, e) -> acc + e) 0 results;
   }
 
-type latency_report = {
-  enforced_mean : float;
-  enforced_p50 : float;
-  enforced_p99 : float;
-  plain_mean : float;
-  plain_p50 : float;
-  plain_p99 : float;
-  mean_overhead : float;
-  events_processed : int;
-  router_hops : int;
-}
+type latency_report = { enforced : Pktsim.stats; plain : Pktsim.stats }
 
 let ablation_latency ?(flows = 1_000) ?(seed = 17) ?jobs ?(shards = 1) () =
-  let controller, workload = pkt_level_controller ~seed ~flows () in
-  let config = { Pktsim.default_config with shards } in
-  let enforced, plain =
-    match
-      fan_out ?jobs
-        [
-          (fun () -> Pktsim.run ~config ~controller ~workload ());
-          (fun () ->
-            let plain_controller =
-              match
-                Sdm.Controller.configure controller.Sdm.Controller.deployment
-                  ~rules:[] Sdm.Controller.Hot_potato
-              with
-              | Ok c -> c
-              | Error e -> failwith ("ablation_latency: " ^ e)
-            in
-            Pktsim.run ~config ~controller:plain_controller
-              ~workload:{ workload with Workload.rules = [] }
-              ());
-        ]
-    with
-    | [ e; p ] -> (e, p)
-    | _ -> assert false
-  in
-  {
-    enforced_mean = enforced.Pktsim.latency_mean;
-    enforced_p50 = enforced.Pktsim.latency_p50;
-    enforced_p99 = enforced.Pktsim.latency_p99;
-    plain_mean = plain.Pktsim.latency_mean;
-    plain_p50 = plain.Pktsim.latency_p50;
-    plain_p99 = plain.Pktsim.latency_p99;
-    mean_overhead =
-      (if plain.Pktsim.latency_mean > 0.0 then
-         enforced.Pktsim.latency_mean /. plain.Pktsim.latency_mean
-       else 1.0);
-    events_processed =
-      enforced.Pktsim.events_processed + plain.Pktsim.events_processed;
-    router_hops = enforced.Pktsim.router_hops + plain.Pktsim.router_hops;
-  }
+  let p = pkt_setup ~seed ~shards ~flows () in
+  let lb = controller p `LB in
+  match
+    fan_out ?jobs
+      [
+        (fun () -> pkt_run p lb);
+        (fun () ->
+          (* Same traffic, empty policy table. *)
+          let plain = { p with workload = { p.workload with Workload.rules = [] } } in
+          pkt_run plain (controller plain `HP));
+      ]
+  with
+  | [ enforced; plain ] -> { enforced; plain }
+  | _ -> assert false
 
 type queue_report = {
   service_rate : float;
   hp_util_max : float;
   lb_util_max : float;
-  hp_latency_mean : float;
-  hp_latency_p99 : float;
-  lb_latency_mean : float;
-  lb_latency_p99 : float;
-  events_processed : int;
-  router_hops : int;
+  queue_probe : Pktsim.stats;
+  queue_hp : Pktsim.stats;
+  queue_lb : Pktsim.stats;
 }
 
 let ablation_queue ?(flows = 800) ?(seed = 17) ?jobs ?(shards = 1) () =
-  let deployment = build_deployment Campus ~seed in
-  let workload = Workload.generate ~deployment ~seed ~flows () in
-  let rules = workload.Workload.rules in
-  let traffic = Workload.measure workload in
-  let lb = configure_exn deployment ~rules (Sdm.Controller.Load_balanced traffic) in
-  let hp = configure_exn deployment ~rules Sdm.Controller.Hot_potato in
+  let p = pkt_setup ~seed ~shards ~flows () in
+  let lb = controller p `LB and hp = controller p `HP in
   (* Calibrate: infinite-rate LB run gives the busiest box's arrival
      rate; provision every box at 2x that, i.e. ~50% utilisation under
      the balanced plan. *)
-  let probe =
-    Pktsim.run
-      ~config:{ Pktsim.default_config with shards }
-      ~controller:lb ~workload ()
-  in
+  let probe = pkt_run p lb in
   let max_load = Array.fold_left max 1.0 probe.Pktsim.loads in
   let service_rate = 2.0 *. max_load /. probe.Pktsim.sim_time in
-  let config = { Pktsim.default_config with service_rate; shards } in
-  let run controller () = Pktsim.run ~config ~controller ~workload () in
+  let run controller () =
+    pkt_run p ~config:{ Pktsim.default_config with service_rate } controller
+  in
   let hp_run, lb_run =
     match fan_out ?jobs [ run hp; run lb ] with
     | [ h; l ] -> (h, l)
@@ -1349,16 +965,9 @@ let ablation_queue ?(flows = 800) ?(seed = 17) ?jobs ?(shards = 1) () =
     service_rate;
     hp_util_max = util hp_run;
     lb_util_max = util lb_run;
-    hp_latency_mean = hp_run.Pktsim.latency_mean;
-    hp_latency_p99 = hp_run.Pktsim.latency_p99;
-    lb_latency_mean = lb_run.Pktsim.latency_mean;
-    lb_latency_p99 = lb_run.Pktsim.latency_p99;
-    events_processed =
-      probe.Pktsim.events_processed + hp_run.Pktsim.events_processed
-      + lb_run.Pktsim.events_processed;
-    router_hops =
-      probe.Pktsim.router_hops + hp_run.Pktsim.router_hops
-      + lb_run.Pktsim.router_hops;
+    queue_probe = probe;
+    queue_hp = hp_run;
+    queue_lb = lb_run;
   }
 
 type lp_compare = {

@@ -18,8 +18,9 @@
     results are positional, cells are pure, and per-cell seeds are
     derived order-independently ({!Stdx.Rng.derive}), reports are
     bit-identical for every [jobs] value.  Each report also carries
-    the total simulator events its runs processed, so harnesses can
-    state real throughput.
+    the simulator events its runs processed — a total for flow-level
+    reports, the {!Pktsim.stats} of every run for packet-level ones —
+    so harnesses can state real throughput.
 
     {b Intra-run sharding.}  Orthogonally to [?jobs] (the across-cells
     axis), the [?shards] argument splits each {e individual} run's
@@ -123,39 +124,40 @@ val ablation_k :
   unit -> k_sweep
 (** LB max loads as the candidate-set sizes grow; k=1 reproduces HP. *)
 
-type cache_stats = {
-  packets : int;
-  lookups : int;            (** multi-field policy lookups actually performed *)
-  hits : int;
-  negative_hits : int;
-  lookup_fraction : float;  (** lookups / packet-events; the flow cache drives this toward #flows/#packets *)
-  cache_events : int;       (** engine events fired by the run *)
-}
+(** {3 Packet-level experiments}
 
-val ablation_cache :
-  ?flows:int -> ?seed:int -> ?shards:int -> unit -> cache_stats
-(** Packet-level run on the campus topology quantifying Sec. III.D. *)
+    Each packet-level experiment reports the {!Pktsim.stats} of its
+    runs as they are, next to its own coordinates (the swept value,
+    the fault times, the derived victim); every figure a report prints
+    that is computable from the stats alone is computed where it is
+    printed ({!Report}).  Probe runs — the fault-free runs that fix a
+    victim or the horizon a schedule is placed within — are reported
+    too, so harnesses can count every event and router hop. *)
+
+val audit_violations : Pktsim.stats -> int option
+(** Invariant violations the run's online audit found
+    ({!Pktsim.config.audit}); [None] when auditing was off. *)
+
+val ablation_cache : ?flows:int -> ?seed:int -> ?shards:int -> unit -> Pktsim.stats
+(** Packet-level LB run on the campus topology quantifying Sec. III.D:
+    multi-field lookups per injected packet, which the flow cache
+    drives toward #flows/#packets. *)
 
 type cache_size_point = {
   capacity : int option;     (** [None] = unbounded *)
-  size_lookup_fraction : float;
-  size_evictions : int;
+  size_stats : Pktsim.stats;
 }
 
-type cache_size_sweep = { cs_points : cache_size_point list; cs_events : int }
-
 val ablation_cache_size :
-  ?flows:int -> ?seed:int -> ?jobs:int -> ?shards:int -> unit -> cache_size_sweep
+  ?flows:int -> ?seed:int -> ?jobs:int -> ?shards:int -> unit ->
+  cache_size_point list
 (** Sec. III.D under finite table sizes: shrink every proxy/middlebox
     flow cache and watch evictions force repeated multi-field lookups
     for long-lived flows. *)
 
 type frag_stats = {
-  fragments_ip_over_ip : int;   (** label switching disabled *)
-  fragments_label_switched : int; (** label switching enabled *)
-  tunneled_legs : int;
-  label_switched_legs : int;
-  frag_events : int;            (** engine events fired, both runs together *)
+  label_switched : Pktsim.stats; (** label switching enabled *)
+  ip_over_ip : Pktsim.stats;     (** label switching disabled *)
 }
 
 val ablation_fragmentation :
@@ -186,21 +188,14 @@ val ablation_failure :
 type chaos_row = {
   chaos_mode : string;       (** "HP+failover", "LB+failover", "LB, no failover" *)
   chaos_delay : float;       (** detection delay; infinity on the no-failover row *)
-  chaos_injected : int;
-  chaos_delivered : int;
-  chaos_dropped : int;
-  chaos_violations : int;    (** packets that escaped their enforcement chain *)
-  chaos_retries : int;       (** control-packet retransmissions *)
-  chaos_recovery : float;
-      (** time from the crash to the last policy violation — how long
-          the system bled before failover absorbed the fault *)
   chaos_max_surviving : float;
       (** max per-box load among the victim's surviving peers *)
-  chaos_events_processed : int;
-  chaos_audit : int option;
-      (** invariant violations found by the online audit
-          ({!Pktsim.config.audit}); [None] when auditing was off *)
+  chaos_stats : Pktsim.stats;
+      (** the row's run; its recovery time is [last_violation_time]
+          minus [chaos_crash_at] — how long the system bled before
+          failover absorbed the fault *)
 }
+(** Coordinates + {!Pktsim.stats}. *)
 
 type chaos_report = {
   chaos_victim : int;            (** the crashed middlebox (busiest IDS) *)
@@ -210,7 +205,7 @@ type chaos_report = {
   chaos_link_fail_at : float;
   chaos_link_restore_at : float;
   chaos_control_loss : float;    (** control-packet loss probability applied *)
-  chaos_probe_events : int;      (** engine events of the fault-free probe *)
+  chaos_probe : Pktsim.stats;    (** the fault-free LB probe *)
   chaos_rows : chaos_row list;
 }
 
@@ -238,39 +233,19 @@ val ablation_chaos :
 
 type live_row = {
   live_loss : float;       (** control-packet loss probability of this row *)
-  live_injected : int;
-  live_delivered : int;
-  live_violations : int;   (** mixed-version or fault-induced escapes; expect 0 *)
-  live_versions : int;     (** configuration versions published *)
-  live_pushes : int;       (** config-push transmissions, retries included *)
-  live_acks : int;
-  live_lost : int;         (** config/ack transmissions lost *)
-  live_degraded : int;     (** degradations to last-known-good *)
-  live_stale : int;        (** devices below the final version at run end *)
-  live_bytes : int;        (** config bytes on the wire *)
-  live_max_load : float;   (** busiest-middlebox load under live updates *)
-  live_events_processed : int;
-  live_audit : int option;
-      (** invariant violations found by the online audit
-          ({!Pktsim.config.audit}); [None] when auditing was off *)
+  live_stats : Pktsim.stats;
 }
-
-type live_device = {
-  dev_name : string;   (** "proxyN" / "mboxN" *)
-  dev_version : int;   (** installed config version at run end *)
-  dev_lag : int;       (** final version minus installed *)
-  dev_retries : int;   (** control retransmissions attributed to it *)
-  dev_lost : int;      (** control transmissions to/from it lost *)
-}
+(** Coordinates + {!Pktsim.stats}. *)
 
 type live_report = {
-  live_epoch : float;           (** epoch interval used (horizon / 5) *)
-  live_reconcile : float;       (** reconcile interval used (epoch / 4) *)
-  live_stale_max : float;       (** hot-potato, no live loop — the floor *)
-  live_clairvoyant_max : float; (** LB on the full matrix — the target *)
-  live_probe_events : int;      (** engine events of the two probe runs *)
+  live_epoch : float;              (** epoch interval used (horizon / 5) *)
+  live_reconcile : float;          (** reconcile interval used (epoch / 4) *)
+  live_stale : Pktsim.stats;       (** hot-potato, no live loop — the floor *)
+  live_clairvoyant : Pktsim.stats; (** LB on the full matrix — the target *)
+  live_devices : string list;
+      (** device names ("proxyN", then "mboxN") in the order of the
+          per-entity arrays of {!Pktsim.stats} *)
   live_rows : live_row list;
-  live_devices : live_device list; (** per-device view of the lossiest row *)
 }
 
 val ablation_live :
@@ -285,7 +260,9 @@ val ablation_live :
 (** ABL-LIVE, the live-reconfiguration experiment: start every run on
     the stale hot-potato plan, enable the in-run control plane
     ({!Pktsim.config.live}) with epochs spread across the traffic
-    window, and sweep the control-channel loss probability.  At every
+    window — epoch = the HP probe's [sim_time] / 5, reconcile =
+    epoch / 4 — and sweep the control-channel loss probability (an
+    empty fault schedule, loss drawn from [seed + 3]).  At every
     loss rate the measurement-driven re-optimizations walk the busiest
     middlebox's load from the hot-potato floor toward the clairvoyant
     load-balanced target; acked, retried, reconciled pushes get every
@@ -298,27 +275,11 @@ val ablation_live :
 type quorum_row = {
   qr_scenario : string; (** "leader crash" / "split brain" / "quorum loss" *)
   qr_loss : float;      (** control-channel loss probability of the row *)
-  qr_injected : int;
-  qr_delivered : int;
-  qr_violations : int;  (** policy violations on the data plane *)
-  qr_versions : int;    (** configuration versions committed and published *)
-  qr_rounds : int;      (** quorum rounds started *)
-  qr_commits : int;     (** rounds that reached quorum *)
-  qr_aborts : int;      (** rounds abandoned (minority side, loss, superseded) *)
-  qr_msgs : int;        (** proposal/vote/commit-notice transmissions *)
-  qr_lost : int;        (** of those, lost to the control channel *)
-  qr_elections : int;   (** leader re-elections *)
-  qr_degraded : int;    (** degradations to last-known-good *)
-  qr_stale : int;       (** devices below the final version at run end *)
-  qr_uncommitted : int;
-      (** versions published without a quorum commit — the headline
-          safety number; always 0 *)
-  qr_replicas : int list; (** per-replica committed version at run end *)
-  qr_events_processed : int;
-  qr_audit : int option;
-      (** invariant violations found by the online audit; [None] when
-          auditing was off *)
+  qr_stats : Pktsim.stats;
 }
+(** Coordinates + {!Pktsim.stats}.  Versions published without a
+    quorum commit, [reoptimizations - quorum_commits], are the
+    headline safety number; always 0. *)
 
 type quorum_report = {
   q_replicas : int;      (** replica count (3, majority quorum) *)
@@ -328,7 +289,7 @@ type quorum_report = {
   q_partition_at : float; (** split-brain partition time (35%) *)
   q_heal_at : float;     (** partition heal time (70%) *)
   q_leader_router : int; (** the lead replica's attachment router *)
-  q_probe_events : int;  (** engine events of the fault-free probe *)
+  q_probe : Pktsim.stats; (** the fault-free probe *)
   q_rows : quorum_row list;
 }
 
@@ -349,7 +310,7 @@ val ablation_quorum :
     without ever publishing, until the partition heals; (3) 45%
     control-packet loss stresses the propose/vote/commit retry
     ladders.  Every published version must have passed a quorum round
-    ([qr_uncommitted] = 0 on every row), and no two replicas ever
+    (no row publishes an uncommitted version), and no two replicas ever
     commit different configs for one version (the audit's
     quorum-agreement invariant).  [audit] runs every row under the
     online invariant audit.  Default 500 flows. *)
@@ -358,31 +319,16 @@ type corrupt_row = {
   cr_strategy : string;    (** "HP" / "LB" — the starting steering plan *)
   cr_rate : float;         (** corruption events per simulated time unit *)
   cr_sweep : float option; (** anti-entropy period; [None] = sweep disabled *)
-  cr_injected : int;       (** packets admitted *)
-  cr_delivered : int;
-  cr_corruptions : int;    (** corruption events that actually mutated state *)
-  cr_manifested : int;     (** corruptions the data plane observed pre-repair *)
-  cr_detected : int;       (** digest mismatches the sweep found *)
-  cr_repaired : int;       (** corruptions retired (scrub, overwrite, re-push) *)
-  cr_violations : int;     (** data-plane policy violations (mis-steered,
-                               bypassed or lost-unenforced packets) *)
-  cr_window_mean : float;  (** mean inject-to-repair window *)
-  cr_window_max : float;   (** worst inject-to-repair window *)
-  cr_sweep_rounds : int;
-  cr_sweep_msgs : int;
-  cr_sweep_bytes : int;    (** sweep wire overhead — the repair-traffic cost *)
-  cr_events_processed : int;
-  cr_audit : int option;
-      (** invariant violations found by the online audit (Repair
-          invariant included); [None] when auditing was off *)
+  cr_stats : Pktsim.stats;
 }
+(** Coordinates + {!Pktsim.stats}. *)
 
 type corrupt_report = {
-  c_horizon : float;       (** probe-run horizon the burst is placed within *)
   c_epoch : float;         (** epoch interval used (horizon / 5) *)
   c_reconcile : float;     (** reconcile interval used (epoch / 4) *)
   c_default_sweep : float; (** the default enabled sweep period (horizon / 12) *)
-  c_probe_events : int;
+  c_probe : Pktsim.stats;  (** the fault-free probe; its [sim_time] is the
+                               horizon the burst is placed within *)
   c_rows : corrupt_row list;
 }
 
@@ -443,22 +389,9 @@ type reopt_row = {
   rp_scenario : string;   (** "campus" / "waxman" *)
   rp_routers : int;       (** topology size (routers) *)
   rp_warm : bool;         (** this row ran with [live.warm_start] *)
-  rp_reopts : int;        (** configuration versions published in-run *)
-  rp_pivots : int;        (** phase-2 pivots across every in-run re-solve *)
-  rp_phase1 : int;        (** phase-1 and drive-out pivots, not in [rp_pivots] *)
-  rp_warm_used : int;     (** re-solves carried by a warm basis *)
-  rp_fallback : int;      (** re-solves that fell back to the cold path *)
-  rp_injected : int;
-  rp_delivered : int;
-  rp_violations : int;    (** policy violations; expect 0 *)
-  rp_versions : int;
-  rp_degraded : int;      (** degradations to last-known-good *)
-  rp_max_load : float;    (** busiest-middlebox load at run end *)
-  rp_events_processed : int;
-  rp_audit : int option;
-      (** invariant violations found by the online audit
-          ({!Pktsim.config.audit}); [None] when auditing was off *)
+  rp_stats : Pktsim.stats;
 }
+(** Coordinates + {!Pktsim.stats}. *)
 
 type reopt_scenario_info = {
   ri_name : string;
@@ -470,7 +403,7 @@ type reopt_scenario_info = {
   ri_recover1 : float;       (** first recovery (35%) *)
   ri_crash2 : float;         (** second crash (45%) *)
   ri_recover2 : float;       (** second recovery (65%) *)
-  ri_probe_events : int;     (** engine events of the fault-free probe *)
+  ri_probe : Pktsim.stats;   (** the fault-free probe *)
 }
 
 type reopt_report = {
@@ -527,15 +460,8 @@ val ablation_sketch :
     optimum and the realised maximum load against exact measurement. *)
 
 type latency_report = {
-  enforced_mean : float;
-  enforced_p50 : float;
-  enforced_p99 : float;
-  plain_mean : float;      (** same traffic, empty policy table *)
-  plain_p50 : float;
-  plain_p99 : float;
-  mean_overhead : float;   (** enforced_mean / plain_mean *)
-  events_processed : int;  (** engine events fired, both runs together *)
-  router_hops : int;       (** hops fast-forwarded, both runs together *)
+  enforced : Pktsim.stats;
+  plain : Pktsim.stats;    (** same traffic, empty policy table *)
 }
 
 val ablation_latency :
@@ -547,12 +473,9 @@ type queue_report = {
   service_rate : float;       (** packets per time unit per middlebox *)
   hp_util_max : float;        (** busiest-middlebox utilisation under HP *)
   lb_util_max : float;
-  hp_latency_mean : float;
-  hp_latency_p99 : float;
-  lb_latency_mean : float;
-  lb_latency_p99 : float;
-  events_processed : int;  (** engine events fired, all three runs together *)
-  router_hops : int;       (** hops fast-forwarded, all three runs together *)
+  queue_probe : Pktsim.stats; (** infinite-rate LB calibration run *)
+  queue_hp : Pktsim.stats;
+  queue_lb : Pktsim.stats;
 }
 
 val ablation_queue :

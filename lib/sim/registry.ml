@@ -69,15 +69,21 @@ let config scenario ~seed ~flows =
     in
     outcome ~events:0 ?failure:(if violations = [] then None else Some verdict) print
 
-(* Packet-level sweeps: the probe runs' events plus every row's, and
-   each row's audit count when auditing was on. *)
-let sweep ~probe ~events ~audit rows =
-  outcome ~events:(probe + sum events rows) ~audits:(List.filter_map audit rows)
+(* Packet-level runs: their events and router hops, summed. *)
+let pkt runs =
+  outcome
+    ~events:(sum (fun s -> s.Pktsim.events_processed) runs)
+    ~hops:(sum (fun s -> s.Pktsim.router_hops) runs)
+
+(* Packet-level sweeps: the probe runs plus every row, and each row's
+   audit count when auditing was on. *)
+let sweep ~probes ~stats rows =
+  let rows = List.map stats rows in
+  pkt (probes @ rows) ~audits:(List.filter_map Experiment.audit_violations rows)
 
 let chaos_outcome (r : Experiment.chaos_report) =
-  sweep ~probe:r.chaos_probe_events r.chaos_rows
-    ~events:(fun x -> x.Experiment.chaos_events_processed)
-    ~audit:(fun x -> x.Experiment.chaos_audit)
+  sweep ~probes:[ r.chaos_probe ] r.chaos_rows
+    ~stats:(fun x -> x.Experiment.chaos_stats)
     (show Report.pp_chaos_ablation r)
 
 let reopt_outcome (r : Experiment.reopt_report) =
@@ -89,9 +95,8 @@ let reopt_outcome (r : Experiment.reopt_report) =
            r.rp_agree r.rp_total)
   in
   sweep r.rp_rows ?failure
-    ~probe:(sum (fun i -> i.Experiment.ri_probe_events) r.rp_infos)
-    ~events:(fun x -> x.Experiment.rp_events_processed)
-    ~audit:(fun x -> x.Experiment.rp_audit)
+    ~probes:(List.map (fun i -> i.Experiment.ri_probe) r.rp_infos)
+    ~stats:(fun x -> x.Experiment.rp_stats)
     ~csvs:
       [
         ("abl_reopt.csv", Report.reopt_csv r);
@@ -138,21 +143,23 @@ let all =
     make "cache" "ABL-CACHE" "flow cache vs multi-field lookups (Sec. III.D)"
       ~default_flows:(2_000, 500) (fun p flows ->
         let r = Experiment.ablation_cache ~flows ~seed:p.seed ~shards:p.shards () in
-        outcome ~events:r.cache_events (show Report.pp_cache_ablation r));
+        pkt [ r ] (show Report.pp_cache_ablation r));
     make "cachesize" "ABL-CACHESIZE" "flow-cache capacity vs lookups"
       ~default_flows:(1_000, 300) (fun p flows ->
         let r =
           Experiment.ablation_cache_size ~flows ~seed:p.seed ~jobs:p.jobs
             ~shards:p.shards ()
         in
-        outcome ~events:r.cs_events (show Report.pp_cache_size_ablation r.cs_points));
+        pkt
+          (List.map (fun x -> x.Experiment.size_stats) r)
+          (show Report.pp_cache_size_ablation r));
     make "frag" "ABL-FRAG" "fragmentation vs label switching (Sec. III.E)"
       ~default_flows:(2_000, 500) (fun p flows ->
         let r =
           Experiment.ablation_fragmentation ~flows ~seed:p.seed ~jobs:p.jobs
             ~shards:p.shards ()
         in
-        outcome ~events:r.frag_events (show Report.pp_frag_ablation r));
+        pkt [ r.label_switched; r.ip_over_ip ] (show Report.pp_frag_ablation r));
     make "fail" "ABL-FAIL" "middlebox failure, failover vs re-optimization"
       ~default_flows:(120_000, 60_000) (fun p flows ->
         let r =
@@ -171,9 +178,8 @@ let all =
           Experiment.ablation_live ~flows ~seed:p.seed ~audit:p.audit
             ~jobs:p.jobs ~shards:p.shards ()
         in
-        sweep ~probe:r.live_probe_events r.live_rows
-          ~events:(fun x -> x.Experiment.live_events_processed)
-          ~audit:(fun x -> x.Experiment.live_audit)
+        sweep ~probes:[ r.live_stale; r.live_clairvoyant ] r.live_rows
+          ~stats:(fun x -> x.Experiment.live_stats)
           ~csvs:
             [
               ("abl_live.csv", Report.live_csv r);
@@ -186,9 +192,8 @@ let all =
           Experiment.ablation_quorum ~flows ~seed:p.seed ~audit:p.audit
             ~jobs:p.jobs ~shards:p.shards ()
         in
-        sweep ~probe:r.q_probe_events r.q_rows
-          ~events:(fun x -> x.Experiment.qr_events_processed)
-          ~audit:(fun x -> x.Experiment.qr_audit)
+        sweep ~probes:[ r.q_probe ] r.q_rows
+          ~stats:(fun x -> x.Experiment.qr_stats)
           ~csvs:[ ("abl_quorum.csv", Report.quorum_csv r) ]
           (show Report.pp_quorum_ablation r));
     make "corrupt" "ABL-CORRUPT" "silent corruption vs anti-entropy repair"
@@ -197,9 +202,8 @@ let all =
           Experiment.ablation_corrupt ~flows ~seed:p.seed ~audit:p.audit
             ~jobs:p.jobs ~shards:p.shards ()
         in
-        sweep ~probe:r.c_probe_events r.c_rows
-          ~events:(fun x -> x.Experiment.cr_events_processed)
-          ~audit:(fun x -> x.Experiment.cr_audit)
+        sweep ~probes:[ r.c_probe ] r.c_rows
+          ~stats:(fun x -> x.Experiment.cr_stats)
           ~csvs:[ ("abl_corrupt.csv", Report.corrupt_csv r) ]
           (show Report.pp_corrupt_ablation r));
     (* 400 flows even in fast mode: with fewer flows the measured
@@ -232,15 +236,14 @@ let all =
           Experiment.ablation_latency ~flows ~seed:p.seed ~jobs:p.jobs
             ~shards:p.shards ()
         in
-        outcome ~events:r.events_processed ~hops:r.router_hops
-          (show Report.pp_latency_ablation r));
+        pkt [ r.enforced; r.plain ] (show Report.pp_latency_ablation r));
     make "queue" "ABL-QUEUE" "middlebox queueing, HP vs LB latency"
       ~default_flows:(800, 300) (fun p flows ->
         let r =
           Experiment.ablation_queue ~flows ~seed:p.seed ~jobs:p.jobs
             ~shards:p.shards ()
         in
-        outcome ~events:r.events_processed ~hops:r.router_hops
+        pkt [ r.queue_probe; r.queue_hp; r.queue_lb ]
           (show Report.pp_queue_ablation r));
     make "lp" "ABL-LP" "Eq.(1) exact vs Eq.(2) simplified"
       ~default_flows:(5_000, 2_000) (fun p flows ->

@@ -50,8 +50,8 @@ val config : Experiment.scenario -> seed:int -> flows:int -> outcome
     entry runs it on campus; [sdmctl verify] on either topology. *)
 
 val chaos_outcome : Experiment.chaos_report -> outcome
-(** The [chaos] entry's view of a report: events summed over the probe
-    and every row, per-row audit counts. *)
+(** The [chaos] entry's view of a report: events and router hops
+    summed over the probe and every row, per-row audit counts. *)
 
 val reopt_outcome : Experiment.reopt_report -> outcome
 (** The [reopt] entry's view of a report; fails when a warm optimum

@@ -1,5 +1,16 @@
-(* Audit columns: "-" when the online audit was off for the run. *)
-let audit_cell = function None -> "-" | Some n -> string_of_int n
+(* Audit columns: "-" in tables, empty in CSVs, when the online audit
+   was off for the run. *)
+let audit_cell s =
+  match Experiment.audit_violations s with None -> "-" | Some n -> string_of_int n
+
+let audit_csv s =
+  match Experiment.audit_violations s with None -> "" | Some n -> string_of_int n
+
+let max_load (s : Pktsim.stats) = Array.fold_left Stdlib.max 0.0 s.Pktsim.loads
+
+let lookup_fraction (s : Pktsim.stats) =
+  float_of_int s.Pktsim.multi_field_lookups
+  /. float_of_int (max 1 s.Pktsim.injected_packets)
 
 let millions v =
   if v >= 1e6 then Printf.sprintf "%.2fM" (v /. 1e6)
@@ -90,14 +101,16 @@ let pp_k_ablation ppf points =
       Format.fprintf ppf "@.")
     points
 
-let pp_cache_ablation ppf (c : Experiment.cache_stats) =
+let pp_cache_ablation ppf (s : Pktsim.stats) =
   Format.fprintf ppf
     "=== Ablation: flow cache vs multi-field lookups (Sec. III.D) ===@.";
+  (* Lookup events happen per packet *arrival* at proxies and
+     middleboxes; normalise by the proxy-side injections. *)
   Format.fprintf ppf
     "packets injected: %d@.multi-field lookups: %d@.cache hits: %d@.negative \
      hits: %d@.lookup fraction: %.4f@."
-    c.Experiment.packets c.Experiment.lookups c.Experiment.hits
-    c.Experiment.negative_hits c.Experiment.lookup_fraction
+    s.Pktsim.injected_packets s.Pktsim.multi_field_lookups s.Pktsim.cache_hits
+    s.Pktsim.cache_negative_hits (lookup_fraction s)
 
 let pp_cache_size_ablation ppf points =
   Format.fprintf ppf
@@ -109,18 +122,20 @@ let pp_cache_size_ablation ppf points =
         (match p.Experiment.capacity with
         | Some c -> string_of_int c
         | None -> "unbounded")
-        p.Experiment.size_lookup_fraction p.Experiment.size_evictions)
+        (lookup_fraction p.Experiment.size_stats)
+        p.Experiment.size_stats.Pktsim.cache_evictions)
     points
 
 let pp_frag_ablation ppf (f : Experiment.frag_stats) =
+  let ls = f.Experiment.label_switched in
   Format.fprintf ppf
     "=== Ablation: fragmentation, IP-over-IP vs label switching (Sec. III.E) \
      ===@.";
   Format.fprintf ppf
     "extra fragments, IP-over-IP only: %d@.extra fragments, with label \
      switching: %d@.tunneled legs: %d@.label-switched legs: %d@."
-    f.Experiment.fragments_ip_over_ip f.Experiment.fragments_label_switched
-    f.Experiment.tunneled_legs f.Experiment.label_switched_legs
+    f.Experiment.ip_over_ip.Pktsim.fragments_created ls.Pktsim.fragments_created
+    ls.Pktsim.tunneled_packets ls.Pktsim.label_switched_packets
 
 let pp_failure_ablation ppf (f : Experiment.failure_report) =
   Format.fprintf ppf
@@ -139,6 +154,38 @@ let pp_failure_ablation ppf (f : Experiment.failure_report) =
     (millions f.Experiment.reoptimized_lambda);
   Format.fprintf ppf "hot-potato under the same failure:     %s@."
     (millions f.Experiment.hp_failover_max)
+
+(* ABL-LIVE's per-device view comes from its lossiest row (the first
+   of the highest loss) — the one where retries and version lag
+   actually have something to show. *)
+let iter_devices (l : Experiment.live_report) f =
+  match
+    List.fold_left
+      (fun best (r : Experiment.live_row) ->
+        match best with
+        | Some (b : Experiment.live_row)
+          when b.Experiment.live_loss >= r.Experiment.live_loss -> best
+        | _ -> Some r)
+      None l.Experiment.live_rows
+  with
+  | None -> ()
+  | Some r ->
+    let s = r.Experiment.live_stats in
+    List.iteri
+      (fun i name ->
+        let version = s.Pktsim.entity_config_version.(i) in
+        f name version
+          (s.Pktsim.final_config_version - version)
+          s.Pktsim.entity_control_retries.(i) s.Pktsim.entity_control_lost.(i))
+      l.Experiment.live_devices
+
+(* Versions that reached the staged window without a quorum commit —
+   ABL-QUORUM's headline safety number; always 0. *)
+let uncommitted (s : Pktsim.stats) =
+  s.Pktsim.reoptimizations - s.Pktsim.quorum_commits
+
+let replica_versions (s : Pktsim.stats) =
+  String.concat "/" (List.map string_of_int (Array.to_list s.Pktsim.replica_versions))
 
 let pp_chaos_ablation ppf (c : Experiment.chaos_report) =
   Format.fprintf ppf
@@ -159,16 +206,24 @@ let pp_chaos_ablation ppf (c : Experiment.chaos_report) =
     "max surviving" "audit";
   List.iter
     (fun (r : Experiment.chaos_row) ->
+      let s = r.Experiment.chaos_stats in
+      (* Time from the crash to the last policy violation. *)
+      let recovery =
+        if s.Pktsim.policy_violations = 0 then 0.0
+        else
+          Stdlib.max 0.0
+            (s.Pktsim.last_violation_time -. c.Experiment.chaos_crash_at)
+      in
       Format.fprintf ppf "%-16s %7s %9d %10d %8d %10d %8d %9.1f %14s %6s@."
         r.Experiment.chaos_mode
         (if Float.is_integer r.Experiment.chaos_delay then
            Printf.sprintf "%.0f" r.Experiment.chaos_delay
          else "never")
-        r.Experiment.chaos_injected r.Experiment.chaos_delivered
-        r.Experiment.chaos_dropped r.Experiment.chaos_violations
-        r.Experiment.chaos_retries r.Experiment.chaos_recovery
+        s.Pktsim.injected_packets s.Pktsim.delivered_packets
+        s.Pktsim.dropped_packets s.Pktsim.policy_violations
+        s.Pktsim.control_retries recovery
         (millions r.Experiment.chaos_max_surviving)
-        (audit_cell r.Experiment.chaos_audit))
+        (audit_cell s))
     c.Experiment.chaos_rows
 
 let pp_live_ablation ppf (l : Experiment.live_report) =
@@ -177,32 +232,28 @@ let pp_live_ablation ppf (l : Experiment.live_report) =
   Format.fprintf ppf
     "epoch %.1f, reconcile %.1f; stale HP max %s, clairvoyant LB max %s@."
     l.Experiment.live_epoch l.Experiment.live_reconcile
-    (millions l.Experiment.live_stale_max)
-    (millions l.Experiment.live_clairvoyant_max);
+    (millions (max_load l.Experiment.live_stale))
+    (millions (max_load l.Experiment.live_clairvoyant));
   Format.fprintf ppf "%8s %9s %10s %10s %9s %7s %6s %5s %9s %6s %10s %6s@."
     "loss" "injected" "delivered" "violating" "versions" "pushes" "acks" "lost"
     "degraded" "stale" "max load" "audit";
   List.iter
     (fun (r : Experiment.live_row) ->
+      let s = r.Experiment.live_stats in
       Format.fprintf ppf
         "%7.0f%% %9d %10d %10d %9d %7d %6d %5d %9d %6d %10s %6s@."
         (100.0 *. r.Experiment.live_loss)
-        r.Experiment.live_injected r.Experiment.live_delivered
-        r.Experiment.live_violations r.Experiment.live_versions
-        r.Experiment.live_pushes r.Experiment.live_acks r.Experiment.live_lost
-        r.Experiment.live_degraded r.Experiment.live_stale
-        (millions r.Experiment.live_max_load)
-        (audit_cell r.Experiment.live_audit))
+        s.Pktsim.injected_packets s.Pktsim.delivered_packets
+        s.Pktsim.policy_violations s.Pktsim.final_config_version
+        s.Pktsim.config_pushes s.Pktsim.config_acks s.Pktsim.config_lost
+        s.Pktsim.config_degraded s.Pktsim.stale_devices
+        (millions (max_load s)) (audit_cell s))
     l.Experiment.live_rows;
   Format.fprintf ppf "@.per device (lossiest row):@.";
   Format.fprintf ppf "%-10s %8s %5s %8s %5s@." "device" "version" "lag"
     "retries" "lost";
-  List.iter
-    (fun (d : Experiment.live_device) ->
-      Format.fprintf ppf "%-10s %8d %5d %8d %5d@." d.Experiment.dev_name
-        d.Experiment.dev_version d.Experiment.dev_lag d.Experiment.dev_retries
-        d.Experiment.dev_lost)
-    l.Experiment.live_devices
+  iter_devices l (fun name version lag retries lost ->
+      Format.fprintf ppf "%-10s %8d %5d %8d %5d@." name version lag retries lost)
 
 let live_csv (l : Experiment.live_report) =
   let buf = Buffer.create 512 in
@@ -210,30 +261,24 @@ let live_csv (l : Experiment.live_report) =
     "loss,injected,delivered,violating,versions,pushes,acks,lost,degraded,stale,bytes,max_load,audit\n";
   List.iter
     (fun (r : Experiment.live_row) ->
+      let s = r.Experiment.live_stats in
       Buffer.add_string buf
         (Printf.sprintf "%.2f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.0f,%s\n"
-           r.Experiment.live_loss r.Experiment.live_injected
-           r.Experiment.live_delivered r.Experiment.live_violations
-           r.Experiment.live_versions r.Experiment.live_pushes
-           r.Experiment.live_acks r.Experiment.live_lost
-           r.Experiment.live_degraded r.Experiment.live_stale
-           r.Experiment.live_bytes r.Experiment.live_max_load
-           (match r.Experiment.live_audit with
-           | None -> ""
-           | Some n -> string_of_int n)))
+           r.Experiment.live_loss s.Pktsim.injected_packets
+           s.Pktsim.delivered_packets s.Pktsim.policy_violations
+           s.Pktsim.final_config_version s.Pktsim.config_pushes
+           s.Pktsim.config_acks s.Pktsim.config_lost s.Pktsim.config_degraded
+           s.Pktsim.stale_devices s.Pktsim.config_bytes (max_load s)
+           (audit_csv s)))
     l.Experiment.live_rows;
   Buffer.contents buf
 
 let live_devices_csv (l : Experiment.live_report) =
   let buf = Buffer.create 512 in
   Buffer.add_string buf "device,version,lag,retries,lost\n";
-  List.iter
-    (fun (d : Experiment.live_device) ->
+  iter_devices l (fun name version lag retries lost ->
       Buffer.add_string buf
-        (Printf.sprintf "%s,%d,%d,%d,%d\n" d.Experiment.dev_name
-           d.Experiment.dev_version d.Experiment.dev_lag d.Experiment.dev_retries
-           d.Experiment.dev_lost))
-    l.Experiment.live_devices;
+        (Printf.sprintf "%s,%d,%d,%d,%d\n" name version lag retries lost));
   Buffer.contents buf
 
 let pp_quorum_ablation ppf (q : Experiment.quorum_report) =
@@ -247,7 +292,7 @@ let pp_quorum_ablation ppf (q : Experiment.quorum_report) =
   Format.fprintf ppf
     "leader crash at %.1f; partition %.1f-%.1f; probe %d events@."
     q.Experiment.q_crash_at q.Experiment.q_partition_at q.Experiment.q_heal_at
-    q.Experiment.q_probe_events;
+    q.Experiment.q_probe.Pktsim.events_processed;
   Format.fprintf ppf
     "%-13s %5s %9s %10s %9s %7s %8s %7s %6s %6s %6s %9s %6s %6s %12s %6s@."
     "scenario" "loss" "injected" "delivered" "versions" "rounds" "commits"
@@ -255,19 +300,18 @@ let pp_quorum_ablation ppf (q : Experiment.quorum_report) =
     "audit";
   List.iter
     (fun (r : Experiment.quorum_row) ->
+      let s = r.Experiment.qr_stats in
       Format.fprintf ppf
         "%-13s %4.0f%% %9d %10d %9d %7d %8d %7d %6d %6d %6d %9d %6d %6d %12s \
          %6s@."
         r.Experiment.qr_scenario
         (100.0 *. r.Experiment.qr_loss)
-        r.Experiment.qr_injected r.Experiment.qr_delivered
-        r.Experiment.qr_versions r.Experiment.qr_rounds
-        r.Experiment.qr_commits r.Experiment.qr_aborts r.Experiment.qr_msgs
-        r.Experiment.qr_lost r.Experiment.qr_elections
-        r.Experiment.qr_degraded r.Experiment.qr_stale
-        r.Experiment.qr_uncommitted
-        (String.concat "/" (List.map string_of_int r.Experiment.qr_replicas))
-        (audit_cell r.Experiment.qr_audit))
+        s.Pktsim.injected_packets s.Pktsim.delivered_packets
+        s.Pktsim.final_config_version s.Pktsim.quorum_rounds
+        s.Pktsim.quorum_commits s.Pktsim.quorum_aborts s.Pktsim.quorum_msgs
+        s.Pktsim.quorum_lost s.Pktsim.leader_changes s.Pktsim.config_degraded
+        s.Pktsim.stale_devices (uncommitted s) (replica_versions s)
+        (audit_cell s))
     q.Experiment.q_rows
 
 let quorum_csv (q : Experiment.quorum_report) =
@@ -276,19 +320,17 @@ let quorum_csv (q : Experiment.quorum_report) =
     "scenario,loss,injected,delivered,violating,versions,rounds,commits,aborts,msgs,lost,elections,degraded,stale,uncommitted,replica_versions,audit\n";
   List.iter
     (fun (r : Experiment.quorum_row) ->
+      let s = r.Experiment.qr_stats in
       Buffer.add_string buf
         (Printf.sprintf "%s,%.2f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s,%s\n"
            r.Experiment.qr_scenario r.Experiment.qr_loss
-           r.Experiment.qr_injected r.Experiment.qr_delivered
-           r.Experiment.qr_violations r.Experiment.qr_versions
-           r.Experiment.qr_rounds r.Experiment.qr_commits
-           r.Experiment.qr_aborts r.Experiment.qr_msgs r.Experiment.qr_lost
-           r.Experiment.qr_elections r.Experiment.qr_degraded
-           r.Experiment.qr_stale r.Experiment.qr_uncommitted
-           (String.concat "/" (List.map string_of_int r.Experiment.qr_replicas))
-           (match r.Experiment.qr_audit with
-           | None -> ""
-           | Some n -> string_of_int n)))
+           s.Pktsim.injected_packets s.Pktsim.delivered_packets
+           s.Pktsim.policy_violations s.Pktsim.final_config_version
+           s.Pktsim.quorum_rounds s.Pktsim.quorum_commits
+           s.Pktsim.quorum_aborts s.Pktsim.quorum_msgs s.Pktsim.quorum_lost
+           s.Pktsim.leader_changes s.Pktsim.config_degraded
+           s.Pktsim.stale_devices (uncommitted s) (replica_versions s)
+           (audit_csv s)))
     q.Experiment.q_rows;
   Buffer.contents buf
 
@@ -302,24 +344,25 @@ let pp_corrupt_ablation ppf (c : Experiment.corrupt_report) =
   Format.fprintf ppf
     "horizon %.1f; epoch %.1f, reconcile %.1f; sweep period %.1f when on; \
      probe %d events@."
-    c.Experiment.c_horizon c.Experiment.c_epoch c.Experiment.c_reconcile
-    c.Experiment.c_default_sweep c.Experiment.c_probe_events;
+    c.Experiment.c_probe.Pktsim.sim_time c.Experiment.c_epoch
+    c.Experiment.c_reconcile c.Experiment.c_default_sweep
+    c.Experiment.c_probe.Pktsim.events_processed;
   Format.fprintf ppf
     "%-4s %5s %6s %9s %10s %7s %6s %6s %6s %9s %8s %8s %7s %6s@." "plan"
     "rate" "sweep" "injected" "delivered" "corrupt" "manif" "detect" "repair"
     "violating" "win-mean" "win-max" "swbytes" "audit";
   List.iter
     (fun (r : Experiment.corrupt_row) ->
+      let s = r.Experiment.cr_stats in
       Format.fprintf ppf
         "%-4s %5.2f %6s %9d %10d %7d %6d %6d %6d %9d %8.2f %8.2f %7d %6s@."
         r.Experiment.cr_strategy r.Experiment.cr_rate
         (sweep_cell r.Experiment.cr_sweep)
-        r.Experiment.cr_injected r.Experiment.cr_delivered
-        r.Experiment.cr_corruptions r.Experiment.cr_manifested
-        r.Experiment.cr_detected r.Experiment.cr_repaired
-        r.Experiment.cr_violations r.Experiment.cr_window_mean
-        r.Experiment.cr_window_max r.Experiment.cr_sweep_bytes
-        (audit_cell r.Experiment.cr_audit))
+        s.Pktsim.injected_packets s.Pktsim.delivered_packets
+        s.Pktsim.corruptions_injected s.Pktsim.corruptions_manifested
+        s.Pktsim.corruptions_detected s.Pktsim.corruptions_repaired
+        s.Pktsim.policy_violations s.Pktsim.repair_window_mean
+        s.Pktsim.repair_window_max s.Pktsim.sweep_bytes (audit_cell s))
     c.Experiment.c_rows
 
 let corrupt_csv (c : Experiment.corrupt_report) =
@@ -328,21 +371,19 @@ let corrupt_csv (c : Experiment.corrupt_report) =
     "plan,rate,sweep_period,injected,delivered,corruptions,manifested,detected,repaired,violating,window_mean,window_max,sweep_rounds,sweep_msgs,sweep_bytes,audit\n";
   List.iter
     (fun (r : Experiment.corrupt_row) ->
+      let s = r.Experiment.cr_stats in
       Buffer.add_string buf
         (Printf.sprintf "%s,%.3f,%s,%d,%d,%d,%d,%d,%d,%d,%.3f,%.3f,%d,%d,%d,%s\n"
            r.Experiment.cr_strategy r.Experiment.cr_rate
            (match r.Experiment.cr_sweep with
            | None -> ""
            | Some p -> Printf.sprintf "%.3f" p)
-           r.Experiment.cr_injected r.Experiment.cr_delivered
-           r.Experiment.cr_corruptions r.Experiment.cr_manifested
-           r.Experiment.cr_detected r.Experiment.cr_repaired
-           r.Experiment.cr_violations r.Experiment.cr_window_mean
-           r.Experiment.cr_window_max r.Experiment.cr_sweep_rounds
-           r.Experiment.cr_sweep_msgs r.Experiment.cr_sweep_bytes
-           (match r.Experiment.cr_audit with
-           | None -> ""
-           | Some n -> string_of_int n)))
+           s.Pktsim.injected_packets s.Pktsim.delivered_packets
+           s.Pktsim.corruptions_injected s.Pktsim.corruptions_manifested
+           s.Pktsim.corruptions_detected s.Pktsim.corruptions_repaired
+           s.Pktsim.policy_violations s.Pktsim.repair_window_mean
+           s.Pktsim.repair_window_max s.Pktsim.sweep_rounds s.Pktsim.sweep_msgs
+           s.Pktsim.sweep_bytes (audit_csv s)))
     c.Experiment.c_rows;
   Buffer.contents buf
 
@@ -367,17 +408,17 @@ let pp_reopt_ablation ppf (r : Experiment.reopt_report) =
     "injected" "delivered" "violating" "versions" "degraded" "max load" "audit";
   List.iter
     (fun (row : Experiment.reopt_row) ->
+      let s = row.Experiment.rp_stats in
       Format.fprintf ppf
         "%-8s %8d %5s %7d %7d %7d %5d %9d %9d %10d %10d %9d %9d %10s %6s@."
         row.Experiment.rp_scenario row.Experiment.rp_routers
         (if row.Experiment.rp_warm then "warm" else "cold")
-        row.Experiment.rp_reopts row.Experiment.rp_pivots
-        row.Experiment.rp_phase1 row.Experiment.rp_warm_used
-        row.Experiment.rp_fallback row.Experiment.rp_injected
-        row.Experiment.rp_delivered row.Experiment.rp_violations
-        row.Experiment.rp_versions row.Experiment.rp_degraded
-        (millions row.Experiment.rp_max_load)
-        (audit_cell row.Experiment.rp_audit))
+        s.Pktsim.reoptimizations s.Pktsim.reopt_pivots
+        s.Pktsim.reopt_phase1_pivots s.Pktsim.reopt_warm_used
+        s.Pktsim.reopt_fallback s.Pktsim.injected_packets
+        s.Pktsim.delivered_packets s.Pktsim.policy_violations
+        s.Pktsim.final_config_version s.Pktsim.config_degraded
+        (millions (max_load s)) (audit_cell s))
     r.Experiment.rp_rows;
   Format.fprintf ppf "@.controller-level churn replay (per re-optimization):@.";
   Format.fprintf ppf "%-8s %4s %-10s %11s %11s %5s %9s %6s@." "scenario" "step"
@@ -406,19 +447,17 @@ let reopt_csv (r : Experiment.reopt_report) =
     "scenario,routers,mode,reopts,pivots,phase1,warm_used,fallback,injected,delivered,violating,versions,degraded,max_load,audit\n";
   List.iter
     (fun (row : Experiment.reopt_row) ->
+      let s = row.Experiment.rp_stats in
       Buffer.add_string buf
         (Printf.sprintf "%s,%d,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.0f,%s\n"
            row.Experiment.rp_scenario row.Experiment.rp_routers
            (if row.Experiment.rp_warm then "warm" else "cold")
-           row.Experiment.rp_reopts row.Experiment.rp_pivots
-           row.Experiment.rp_phase1 row.Experiment.rp_warm_used
-           row.Experiment.rp_fallback row.Experiment.rp_injected
-           row.Experiment.rp_delivered row.Experiment.rp_violations
-           row.Experiment.rp_versions row.Experiment.rp_degraded
-           row.Experiment.rp_max_load
-           (match row.Experiment.rp_audit with
-           | None -> ""
-           | Some n -> string_of_int n)))
+           s.Pktsim.reoptimizations s.Pktsim.reopt_pivots
+           s.Pktsim.reopt_phase1_pivots s.Pktsim.reopt_warm_used
+           s.Pktsim.reopt_fallback s.Pktsim.injected_packets
+           s.Pktsim.delivered_packets s.Pktsim.policy_violations
+           s.Pktsim.final_config_version s.Pktsim.config_degraded (max_load s)
+           (audit_csv s)))
     r.Experiment.rp_rows;
   Buffer.contents buf
 
@@ -477,21 +516,30 @@ let pp_epochs ppf metrics =
         m.Epochsim.staleness_gap)
     metrics
 
+let pp_engine ppf runs =
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 runs in
+  Format.fprintf ppf "engine events: %d processed, %d router hops fast-forwarded@."
+    (sum (fun s -> s.Pktsim.events_processed))
+    (sum (fun s -> s.Pktsim.router_hops))
+
 let pp_latency_ablation ppf (l : Experiment.latency_report) =
+  let e = l.Experiment.enforced and p = l.Experiment.plain in
   Format.fprintf ppf
     "=== Ablation: end-to-end latency with/without enforcement (campus, LB) \
      ===@.";
   Format.fprintf ppf "%12s %10s %10s %10s@." "" "mean" "p50" "p99";
   Format.fprintf ppf "%12s %10.2f %10.2f %10.2f@." "enforced"
-    l.Experiment.enforced_mean l.Experiment.enforced_p50 l.Experiment.enforced_p99;
+    e.Pktsim.latency_mean e.Pktsim.latency_p50 e.Pktsim.latency_p99;
   Format.fprintf ppf "%12s %10.2f %10.2f %10.2f@." "plain"
-    l.Experiment.plain_mean l.Experiment.plain_p50 l.Experiment.plain_p99;
+    p.Pktsim.latency_mean p.Pktsim.latency_p50 p.Pktsim.latency_p99;
   Format.fprintf ppf "mean enforcement overhead: %.2fx@."
-    l.Experiment.mean_overhead;
-  Format.fprintf ppf "engine events: %d processed, %d router hops fast-forwarded@."
-    l.Experiment.events_processed l.Experiment.router_hops
+    (if p.Pktsim.latency_mean > 0.0 then
+       e.Pktsim.latency_mean /. p.Pktsim.latency_mean
+     else 1.0);
+  pp_engine ppf [ e; p ]
 
 let pp_queue_ablation ppf (q : Experiment.queue_report) =
+  let hp = q.Experiment.queue_hp and lb = q.Experiment.queue_lb in
   Format.fprintf ppf
     "=== Ablation: middlebox queueing, HP vs LB latency (campus) ===@.";
   Format.fprintf ppf "service rate: %.1f pkt/unit per middlebox@."
@@ -499,11 +547,10 @@ let pp_queue_ablation ppf (q : Experiment.queue_report) =
   Format.fprintf ppf "%6s %12s %14s %14s@." "" "util(max)" "latency mean"
     "latency p99";
   Format.fprintf ppf "%6s %12.2f %14.2f %14.2f@." "HP" q.Experiment.hp_util_max
-    q.Experiment.hp_latency_mean q.Experiment.hp_latency_p99;
+    hp.Pktsim.latency_mean hp.Pktsim.latency_p99;
   Format.fprintf ppf "%6s %12.2f %14.2f %14.2f@." "LB" q.Experiment.lb_util_max
-    q.Experiment.lb_latency_mean q.Experiment.lb_latency_p99;
-  Format.fprintf ppf "engine events: %d processed, %d router hops fast-forwarded@."
-    q.Experiment.events_processed q.Experiment.router_hops
+    lb.Pktsim.latency_mean lb.Pktsim.latency_p99;
+  pp_engine ppf [ q.Experiment.queue_probe; hp; lb ]
 
 let pp_lp_ablation ppf (l : Experiment.lp_compare) =
   Format.fprintf ppf

@@ -9,7 +9,7 @@ val pp_table3 : Format.formatter -> Experiment.table3_row list -> unit
 
 val pp_k_ablation : Format.formatter -> Experiment.k_point list -> unit
 
-val pp_cache_ablation : Format.formatter -> Experiment.cache_stats -> unit
+val pp_cache_ablation : Format.formatter -> Pktsim.stats -> unit
 
 val pp_cache_size_ablation :
   Format.formatter -> Experiment.cache_size_point list -> unit

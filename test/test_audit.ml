@@ -212,7 +212,8 @@ let test_ablation_audit_plumbing () =
     (fun (row : Sim.Experiment.chaos_row) ->
       Alcotest.(check (option int))
         ("chaos row " ^ row.Sim.Experiment.chaos_mode)
-        (Some 0) row.Sim.Experiment.chaos_audit)
+        (Some 0)
+        (Sim.Experiment.audit_violations row.Sim.Experiment.chaos_stats))
     chaos.Sim.Experiment.chaos_rows;
   let live =
     Sim.Experiment.ablation_live ~flows:80 ~audit:true ~control_losses:[ 0.05 ]
@@ -221,7 +222,7 @@ let test_ablation_audit_plumbing () =
   List.iter
     (fun (row : Sim.Experiment.live_row) ->
       Alcotest.(check (option int)) "live row" (Some 0)
-        row.Sim.Experiment.live_audit)
+        (Sim.Experiment.audit_violations row.Sim.Experiment.live_stats))
     live.Sim.Experiment.live_rows;
   (* Audit off: the rows say so instead of claiming a clean pass. *)
   let plain =
@@ -230,7 +231,7 @@ let test_ablation_audit_plumbing () =
   List.iter
     (fun (row : Sim.Experiment.chaos_row) ->
       Alcotest.(check (option int)) "unaudited row" None
-        row.Sim.Experiment.chaos_audit)
+        (Sim.Experiment.audit_violations row.Sim.Experiment.chaos_stats))
     plain.Sim.Experiment.chaos_rows
 
 let test_audit_reopt_ablation () =
@@ -246,7 +247,8 @@ let test_audit_reopt_ablation () =
       Alcotest.(check (option int))
         (Printf.sprintf "%s warm=%b audits clean" row.Sim.Experiment.rp_scenario
            row.Sim.Experiment.rp_warm)
-        (Some 0) row.Sim.Experiment.rp_audit)
+        (Some 0)
+        (Sim.Experiment.audit_violations row.Sim.Experiment.rp_stats))
     r.Sim.Experiment.rp_rows;
   Alcotest.(check int) "four audited rows" 4
     (List.length r.Sim.Experiment.rp_rows);
@@ -264,13 +266,14 @@ let test_audit_reopt_ablation () =
             && row.Sim.Experiment.rp_warm = warm)
           r.Sim.Experiment.rp_rows
       in
-      let cold = row false and warm = row true in
+      let cold = (row false).Sim.Experiment.rp_stats
+      and warm = (row true).Sim.Experiment.rp_stats in
       Alcotest.(check int)
         (info.Sim.Experiment.ri_name ^ " same injected")
-        cold.Sim.Experiment.rp_injected warm.Sim.Experiment.rp_injected;
+        cold.Sim.Pktsim.injected_packets warm.Sim.Pktsim.injected_packets;
       Alcotest.(check int)
         (info.Sim.Experiment.ri_name ^ " same versions")
-        cold.Sim.Experiment.rp_versions warm.Sim.Experiment.rp_versions)
+        cold.Sim.Pktsim.final_config_version warm.Sim.Pktsim.final_config_version)
     r.Sim.Experiment.rp_infos
 
 let test_audit_reopt_jobs_shards_identical () =

@@ -67,54 +67,76 @@ let test_ablation_printers () =
     (contains (render Sim.Report.pp_latency_ablation lat) "overhead")
 
 (* Hand-built reports keep the CSV emitter tests fast and let them pin
-   exact cell values, including both states of the audit column. *)
-let synthetic_live_report =
+   exact cell values, including both states of the audit column.  Each
+   row overrides the counters under test on one small real audited
+   run. *)
+let base_stats =
+  lazy
+    (let deployment =
+       Sim.Experiment.build_deployment Sim.Experiment.Campus ~seed:17
+     in
+     let workload = Sim.Workload.generate ~deployment ~seed:17 ~flows:20 () in
+     match
+       Sdm.Controller.configure deployment ~rules:workload.Sim.Workload.rules
+         Sdm.Controller.Hot_potato
+     with
+     | Error e -> failwith e
+     | Ok controller ->
+       Sim.Pktsim.run
+         ~config:{ Sim.Pktsim.default_config with audit = true }
+         ~controller ~workload ())
+
+(* The base run with its audit verdict replaced: [None] = audit off. *)
+let stats ~audit =
+  let s = Lazy.force base_stats in
+  {
+    s with
+    Sim.Pktsim.audit_report =
+      Option.map
+        (fun n ->
+          { (Option.get s.Sim.Pktsim.audit_report) with Audit.Checker.violations = n })
+        audit;
+  }
+
+let synthetic_live_report () =
   let row ~loss ~audit =
     {
       Sim.Experiment.live_loss = loss;
-      live_injected = 100;
-      live_delivered = 99;
-      live_violations = 0;
-      live_versions = 4;
-      live_pushes = 20;
-      live_acks = 19;
-      live_lost = 1;
-      live_degraded = 0;
-      live_stale = 2;
-      live_bytes = 1234;
-      live_max_load = 55.0;
-      live_events_processed = 5000;
-      live_audit = audit;
+      live_stats =
+        {
+          (stats ~audit) with
+          Sim.Pktsim.injected_packets = 100;
+          delivered_packets = 99;
+          policy_violations = 0;
+          final_config_version = 4;
+          config_pushes = 20;
+          config_acks = 19;
+          config_lost = 1;
+          config_degraded = 0;
+          stale_devices = 2;
+          config_bytes = 1234;
+          loads = [| 55.0 |];
+          events_processed = 5000;
+          entity_config_version = [| 4; 3 |];
+          entity_control_retries = [| 1; 5 |];
+          entity_control_lost = [| 2; 4 |];
+        };
     }
+  in
+  let probe max_load =
+    { (stats ~audit:None) with Sim.Pktsim.loads = [| max_load |]; events_processed = 6_000 }
   in
   {
     Sim.Experiment.live_epoch = 10.0;
     live_reconcile = 2.5;
-    live_stale_max = 1000.0;
-    live_clairvoyant_max = 400.0;
-    live_probe_events = 12_000;
+    live_stale = probe 1000.0;
+    live_clairvoyant = probe 400.0;
+    live_devices = [ "proxy0"; "mbox7" ];
     live_rows = [ row ~loss:0.0 ~audit:None; row ~loss:0.10 ~audit:(Some 3) ];
-    live_devices =
-      [
-        {
-          Sim.Experiment.dev_name = "proxy0";
-          dev_version = 4;
-          dev_lag = 0;
-          dev_retries = 1;
-          dev_lost = 2;
-        };
-        {
-          Sim.Experiment.dev_name = "mbox7";
-          dev_version = 3;
-          dev_lag = 1;
-          dev_retries = 5;
-          dev_lost = 4;
-        };
-      ];
   }
 
 let test_live_csv () =
-  let csv = Sim.Report.live_csv synthetic_live_report in
+  let csv = Sim.Report.live_csv (synthetic_live_report ()) in
   let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' csv) in
   Alcotest.(check int) "header + 2 rows" 3 (List.length lines);
   Alcotest.(check string) "header"
@@ -145,7 +167,7 @@ let test_live_csv () =
   | _ -> Alcotest.fail "unexpected line structure")
 
 let test_live_devices_csv () =
-  let csv = Sim.Report.live_devices_csv synthetic_live_report in
+  let csv = Sim.Report.live_devices_csv (synthetic_live_report ()) in
   let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' csv) in
   Alcotest.(check int) "header + 2 devices" 3 (List.length lines);
   Alcotest.(check string) "header" "device,version,lag,retries,lost"
@@ -153,20 +175,24 @@ let test_live_devices_csv () =
   Alcotest.(check string) "proxy row" "proxy0,4,0,1,2" (List.nth lines 1);
   Alcotest.(check string) "mbox row" "mbox7,3,1,5,4" (List.nth lines 2)
 
-let synthetic_chaos_report =
+let synthetic_chaos_report () =
   let chaos_row ~audit =
     {
       Sim.Experiment.chaos_mode = "LB+failover";
       chaos_delay = 2.0;
-      chaos_injected = 100;
-      chaos_delivered = 99;
-      chaos_dropped = 1;
-      chaos_violations = 1;
-      chaos_retries = 0;
-      chaos_recovery = 1.5;
       chaos_max_surviving = 80.0;
-      chaos_events_processed = 4000;
-      chaos_audit = audit;
+      chaos_stats =
+        {
+          (stats ~audit) with
+          Sim.Pktsim.injected_packets = 100;
+          delivered_packets = 99;
+          dropped_packets = 1;
+          policy_violations = 1;
+          control_retries = 0;
+          (* recovery 1.5 after the crash at 25.0 *)
+          last_violation_time = 26.5;
+          events_processed = 4000;
+        };
     }
   in
   {
@@ -177,15 +203,15 @@ let synthetic_chaos_report =
     chaos_link_fail_at = 45.0;
     chaos_link_restore_at = 65.0;
     chaos_control_loss = 0.02;
-    chaos_probe_events = 9_000;
+    chaos_probe = { (stats ~audit:None) with Sim.Pktsim.events_processed = 9_000 };
     chaos_rows = [ chaos_row ~audit:None; chaos_row ~audit:(Some 7) ];
   }
 
 let test_live_and_chaos_printers_audit_column () =
-  let out = render Sim.Report.pp_live_ablation synthetic_live_report in
+  let out = render Sim.Report.pp_live_ablation (synthetic_live_report ()) in
   Alcotest.(check bool) "live header has audit" true (contains out "audit");
   Alcotest.(check bool) "live shows dash when off" true (contains out " -");
-  let report = synthetic_chaos_report in
+  let report = synthetic_chaos_report () in
   let out = render Sim.Report.pp_chaos_ablation report in
   Alcotest.(check bool) "chaos header has audit" true (contains out "audit");
   Alcotest.(check bool) "chaos shows dash when off" true (contains out " -");
@@ -193,7 +219,7 @@ let test_live_and_chaos_printers_audit_column () =
 
 (* The verdict sdmctl and the bench both exit 1 on. *)
 let test_registry_verdicts () =
-  let chaos = Sim.Registry.chaos_outcome synthetic_chaos_report in
+  let chaos = Sim.Registry.chaos_outcome (synthetic_chaos_report ()) in
   Alcotest.(check (list int)) "chaos audit counts" [ 7 ] chaos.audits;
   Alcotest.(check int) "chaos events" 17_000 chaos.events;
   Alcotest.(check int) "violations fail under audit" 1
@@ -215,6 +241,26 @@ let test_registry_verdicts () =
     ((reopt 10).failure = None);
   Alcotest.(check int) "warm/cold mismatch fails, audit or not" 1
     (List.length (Sim.Registry.failures ~audit:false (reopt 9)))
+
+(* Packet-level entries report the router hops their runs
+   fast-forwarded, probes included. *)
+let test_registry_pkt_hops () =
+  List.iter
+    (fun name ->
+      let e = Option.get (Sim.Registry.find name) in
+      let o =
+        e.run
+          {
+            Sim.Registry.seed = 17;
+            flows = Some 60;
+            fast = true;
+            audit = false;
+            jobs = 1;
+            shards = 1;
+          }
+      in
+      Alcotest.(check bool) (name ^ " router hops > 0") true (o.hops > 0))
+    [ "live"; "frag" ]
 
 let test_registry_ids_unique () =
   let unique what f =
@@ -238,4 +284,6 @@ let suite =
       test_live_and_chaos_printers_audit_column;
     Alcotest.test_case "registry verdicts" `Quick test_registry_verdicts;
     Alcotest.test_case "registry ids unique" `Quick test_registry_ids_unique;
+    Alcotest.test_case "packet-level entries report router hops" `Quick
+      test_registry_pkt_hops;
   ]

@@ -697,10 +697,11 @@ let test_queue_ablation () =
      must run hotter and slower. *)
   Alcotest.(check bool) "HP hotter than LB" true
     (q.Sim.Experiment.hp_util_max > q.Sim.Experiment.lb_util_max);
+  let hp = q.Sim.Experiment.queue_hp and lb = q.Sim.Experiment.queue_lb in
   Alcotest.(check bool) "HP slower (mean)" true
-    (q.Sim.Experiment.hp_latency_mean > q.Sim.Experiment.lb_latency_mean);
+    (hp.Sim.Pktsim.latency_mean > lb.Sim.Pktsim.latency_mean);
   Alcotest.(check bool) "HP slower (p99)" true
-    (q.Sim.Experiment.hp_latency_p99 > q.Sim.Experiment.lb_latency_p99)
+    (hp.Sim.Pktsim.latency_p99 > lb.Sim.Pktsim.latency_p99)
 
 let test_queueing_preserves_loads () =
   (* Finite service delays packets but never changes which middlebox
@@ -1536,19 +1537,20 @@ let test_experiment_corrupt_invariant () =
     (base = run ~jobs:1 ~shards:4);
   List.iter
     (fun (r : Sim.Experiment.corrupt_row) ->
+      let s = r.Sim.Experiment.cr_stats in
       Alcotest.(check (option int))
         (Printf.sprintf "%s rate=%.1f audits clean" r.Sim.Experiment.cr_strategy
            r.Sim.Experiment.cr_rate)
-        (Some 0) r.Sim.Experiment.cr_audit;
+        (Some 0) (Sim.Experiment.audit_violations s);
       match r.Sim.Experiment.cr_sweep with
       | None ->
         Alcotest.(check int) "sweep-off row never detects" 0
-          r.Sim.Experiment.cr_detected
+          s.Sim.Pktsim.corruptions_detected
       | Some _ ->
         Alcotest.(check int)
           (Printf.sprintf "%s sweep row repairs everything"
              r.Sim.Experiment.cr_strategy)
-          r.Sim.Experiment.cr_corruptions r.Sim.Experiment.cr_repaired)
+          s.Sim.Pktsim.corruptions_injected s.Sim.Pktsim.corruptions_repaired)
     base.Sim.Experiment.c_rows
 
 let test_experiment_quorum_invariant () =
@@ -1562,6 +1564,49 @@ let test_experiment_quorum_invariant () =
     (base = run ~jobs:4 ~shards:1);
   Alcotest.(check bool) "quorum shards=1 = shards=2" true
     (base = run ~jobs:1 ~shards:2)
+
+let test_live_row_carries_its_run () =
+  (* A sweep row carries its run's stats as they are: rerunning the
+     setup experiment.mli documents by hand — HP start, epoch = the
+     probe horizon / 5, reconcile = epoch / 4, loss seed = seed + 3 —
+     reproduces them field for field. *)
+  let seed = 17 and flows = 80 and loss = 0.05 in
+  let r = Sim.Experiment.ablation_live ~flows ~seed ~control_losses:[ loss ] () in
+  let deployment = campus ~seed () in
+  let workload = Sim.Workload.generate ~deployment ~seed ~flows () in
+  let hp =
+    match
+      Sdm.Controller.configure deployment ~rules:workload.Sim.Workload.rules
+        Sdm.Controller.Hot_potato
+    with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  let probe = Sim.Pktsim.run ~controller:hp ~workload () in
+  let epoch = probe.Sim.Pktsim.sim_time /. 5.0 in
+  let config =
+    {
+      Sim.Pktsim.default_config with
+      faults = Some (Fault.Schedule.make ~control_loss:loss ~loss_seed:(seed + 3) []);
+      live =
+        Some
+          {
+            Sim.Pktsim.default_live with
+            epoch_interval = epoch;
+            reconcile_interval = epoch /. 4.0;
+          };
+    }
+  in
+  let direct = Sim.Pktsim.run ~config ~controller:hp ~workload () in
+  Alcotest.(check (float 0.0)) "epoch" epoch r.Sim.Experiment.live_epoch;
+  match r.Sim.Experiment.live_rows with
+  | [ row ] ->
+    let s = row.Sim.Experiment.live_stats in
+    Alcotest.(check bool) "row loads = direct run loads" true
+      (s.Sim.Pktsim.loads = direct.Sim.Pktsim.loads);
+    Alcotest.(check bool) "row stats = direct run stats" true
+      ({ s with Sim.Pktsim.loads = [||] } = { direct with Sim.Pktsim.loads = [||] })
+  | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
 
 (* ---- Parallel fan-out determinism --------------------------------- *)
 
@@ -1763,6 +1808,8 @@ let suite =
     Alcotest.test_case "experiment k=1 equals HP" `Quick test_experiment_k1_equals_hp;
     Alcotest.test_case "epoch adaptation" `Slow test_epoch_adaptation;
     Alcotest.test_case "queue ablation" `Slow test_queue_ablation;
+    Alcotest.test_case "live row carries its run's stats" `Quick
+      test_live_row_carries_its_run;
     Alcotest.test_case "control-plane pricing" `Quick test_controlplane_pricing;
     Alcotest.test_case "control-plane device indexing" `Quick
       test_controlplane_device_indexing;
