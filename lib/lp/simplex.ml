@@ -33,6 +33,7 @@ type tableau = {
   m : int;
   width : int;
   basis : int array; (* basic variable of each row *)
+  snap : float; (* basic values below this magnitude are exactly 0 *)
 }
 
 let pivot t ~row ~col =
@@ -54,50 +55,63 @@ let pivot t ~row ~col =
       end
     end
   done;
+  (* Zero-snap: rounding residue on a degenerate row would otherwise
+     decide later ratio-test ties. *)
+  for i = 0 to t.m - 1 do
+    if abs_float a.(i).(t.width) < t.snap then a.(i).(t.width) <- 0.0
+  done;
   t.basis.(row) <- col
 
 (* Entering column: Dantzig unless [bland]; [allowed col] filters out
-   artificial columns during phase 2. *)
+   artificial columns during phase 2.  Dantzig takes two passes so that
+   rounding noise cannot pick among tied candidates: find the minimum
+   reduced cost, then the lowest allowed index within a relative
+   [price_tol] of it enters. *)
+let price_tol = 1e-11
+
 let entering t ~bland ~allowed =
   let obj = t.a.(t.m) in
-  if bland then begin
+  let first_below v =
     let rec find j =
       if j >= t.width then None
-      else if allowed j && obj.(j) < -.eps then Some j
+      else if allowed j && obj.(j) < -.eps && obj.(j) <= v then Some j
       else find (j + 1)
     in
     find 0
-  end
+  in
+  if bland then first_below infinity
   else begin
-    let best = ref (-1) and best_v = ref (-.eps) in
+    let best_v = ref (-.eps) in
     for j = 0 to t.width - 1 do
-      if allowed j && obj.(j) < !best_v then begin
-        best := j;
-        best_v := obj.(j)
-      end
+      if allowed j && obj.(j) < !best_v then best_v := obj.(j)
     done;
-    if !best = -1 then None else Some !best
+    if !best_v = -.eps then None
+    else first_below (!best_v +. (price_tol *. Float.max 1.0 (abs_float !best_v)))
   end
 
-(* Leaving row: minimum ratio; ties by smallest basic variable index
-   (lexicographic enough for Bland's rule to terminate). *)
+(* Leaving row, in two passes like pricing: the minimum ratio over
+   coefficients > [eps], then the smallest basic column index among the
+   rows within a relative [eps] of it (lexicographic enough for Bland's
+   rule to terminate). *)
 let leaving t ~col =
-  let best = ref (-1) and best_ratio = ref infinity in
+  let ratio i = t.a.(i).(t.width) /. t.a.(i).(col) in
+  let min_ratio = ref infinity in
   for i = 0 to t.m - 1 do
-    let coef = t.a.(i).(col) in
-    if coef > eps then begin
-      let ratio = t.a.(i).(t.width) /. coef in
-      if
-        ratio < !best_ratio -. eps
-        || (ratio < !best_ratio +. eps
-            && (!best = -1 || t.basis.(i) < t.basis.(!best)))
-      then begin
-        best := i;
-        best_ratio := ratio
-      end
-    end
+    if t.a.(i).(col) > eps then min_ratio := Float.min !min_ratio (ratio i)
   done;
-  if !best = -1 then None else Some !best
+  if !min_ratio = infinity then None
+  else begin
+    let bound = !min_ratio +. (eps *. Float.max 1.0 (abs_float !min_ratio)) in
+    let best = ref (-1) in
+    for i = 0 to t.m - 1 do
+      if
+        t.a.(i).(col) > eps
+        && ratio i <= bound
+        && (!best = -1 || t.basis.(i) < t.basis.(!best))
+      then best := i
+    done;
+    Some !best
+  end
 
 exception Unbounded_lp
 
@@ -163,6 +177,10 @@ let solve_ext ?warm_basis ~cost ~rows () =
     norm;
   let width = n + !slacks + !artificials in
   let art_first = n + !slacks in
+  let snap =
+    1e-13
+    *. Array.fold_left (fun acc (_, _, rhs) -> Float.max acc rhs) 1.0 norm
+  in
   let build () =
     let a = Array.make_matrix (m + 1) (width + 1) 0.0 in
     let basis = Array.make m (-1) in
@@ -187,7 +205,7 @@ let solve_ext ?warm_basis ~cost ~rows () =
           basis.(i) <- !art_col;
           incr art_col))
       norm;
-    { a; m; width; basis }
+    { a; m; width; basis; snap }
   in
   let is_artificial j = j >= art_first in
   let pivots = ref 0 and phase1_pivots = ref 0 in
@@ -341,9 +359,14 @@ let solve_ext ?warm_basis ~cost ~rows () =
         let phase1 = -.a.(m).(width) in
         if phase1 > 1e-6 then raise Exit
       end;
-      (* Drive any zero-valued basic artificials out of the basis. *)
-      for i = 0 to m - 1 do
-        if is_artificial t.basis.(i) then begin
+      (* Drive any zero-valued basic artificials out of the basis, in
+         column-index order. *)
+      let art_rows =
+        List.filter (fun i -> is_artificial t.basis.(i)) (List.init m Fun.id)
+        |> List.sort (fun i k -> compare t.basis.(i) t.basis.(k))
+      in
+      List.iter
+        (fun i ->
           let col = ref (-1) in
           for j = 0 to art_first - 1 do
             if !col = -1 && abs_float a.(i).(j) > eps then col := j
@@ -356,9 +379,8 @@ let solve_ext ?warm_basis ~cost ~rows () =
              columns); the artificial stays basic at value ~0 and,
              because phase 2 never lets artificial columns enter, its
              value can only change through pivots in this row, which
-             the ratio test performs only at ratio 0 here. *)
-        end
-      done;
+             the ratio test performs only at ratio 0 here. *))
+        art_rows;
       (* ---- Phase 2: real objective. ---- *)
       match phase2 t with
       | values, basis -> (Optimal values, stats (), basis)

@@ -470,7 +470,10 @@ let test_pktsim_same_seed_deterministic () =
 (* Every stats field of a seed scenario, captured from the pre-rewrite
    per-hop event cascade.  The hop fast-forwarding rewrite must
    reproduce these bit-exactly: hex float literals pin the exact
-   double, not a rounding of it. *)
+   double, not a rounding of it.  Re-pinned once when the simplex
+   pivot rules became rounding-robust: the Eq. (2) LP now lands on
+   another optimal vertex (same lambda within 1e-9 relative), which
+   moves the loads, label state and latencies. *)
 type pinned = {
   e_injected : int;
   e_control : int;
@@ -524,33 +527,33 @@ let test_pktsim_pinned_equivalence () =
      the hash walk visits the same arrays in the same order. *)
   let campus_ls =
     {
-      e_injected = 5212; e_control = 523; e_lookups = 1000; e_hits = 5455;
-      e_tunneled = 1243; e_ls = 12363; e_frags = 689; e_hops = 29570;
-      e_events = 24553;
-      e_sim_time = 0x1.68ab6f6a54e73p+9; e_mean = 0x1.cea595abacde8p-1;
-      e_p50 = 0x1.ccccccccccd4p-1; e_p99 = 0x1.333333333338p+0;
-      e_loads_sum = 0x1.a93p+13; e_loads_max = 0x1.e7p+10;
+      e_injected = 5212; e_control = 517; e_lookups = 1000; e_hits = 5437;
+      e_tunneled = 1225; e_ls = 12381; e_frags = 689; e_hops = 30940;
+      e_events = 24547;
+      e_sim_time = 0x1.68c50903ee80dp+9; e_mean = 0x1.dcc35e949c275p-1;
+      e_p50 = 0x1.fffffffffffep-1; e_p99 = 0x1.333333333338p+0;
+      e_loads_sum = 0x1.a93p+13; e_loads_max = 0x1.ep+10;
     }
   in
   let campus_tun =
     { campus_ls with
       e_control = 0; e_hits = 17818; e_tunneled = 13606; e_ls = 0;
-      e_frags = 6265; e_hops = 28278; e_events = 24030 }
+      e_frags = 6265; e_hops = 29715; e_events = 24030 }
   in
   let waxman_ls =
     {
-      e_injected = 5335; e_control = 245; e_lookups = 400; e_hits = 5510;
-      e_tunneled = 575; e_ls = 10942; e_frags = 262; e_hops = 37564;
-      e_events = 22432;
-      e_sim_time = 0x1.2a5424c38f6cp+10; e_mean = 0x1.01c8f88620aa3p+0;
+      e_injected = 5335; e_control = 241; e_lookups = 400; e_hits = 5502;
+      e_tunneled = 567; e_ls = 10950; e_frags = 256; e_hops = 37184;
+      e_events = 22428;
+      e_sim_time = 0x1.2a5424c38f6cp+10; e_mean = 0x1.00126d1e2eb6fp+0;
       e_p50 = 0x1.cccccccccd4p-1; e_p99 = 0x1.4cccccccccd2p+0;
-      e_loads_sum = 0x1.67e8p+13; e_loads_max = 0x1.632p+11;
+      e_loads_sum = 0x1.67e8p+13; e_loads_max = 0x1.5p+11;
     }
   in
   let waxman_tun =
     { waxman_ls with
       e_control = 0; e_hits = 16452; e_tunneled = 11517; e_ls = 0;
-      e_frags = 3705; e_hops = 36870; e_events = 22187 }
+      e_frags = 3705; e_hops = 36513; e_events = 22187 }
   in
   let scenario name scen ~seed ~flows expect_ls expect_tun =
     let dep = Sim.Experiment.build_deployment scen ~seed in
