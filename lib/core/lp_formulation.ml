@@ -137,7 +137,8 @@ let add_chain ?commodity b cand ~rule_id ~chain ~entry_groups =
 let eps_type_max = 1e-4
 let eps_type_min = 1e-8
 
-let finish b cand ?lambda_cap ?warm () =
+(* Capacity rows and the objective, once every chain is in. *)
+let complete b cand ?lambda_cap () =
   let dep = Candidate.deployment cand in
   (* Per-type max/min variables over middleboxes that can carry load. *)
   let type_vars = Hashtbl.create 8 in
@@ -176,7 +177,9 @@ let finish b cand ?lambda_cap ?warm () =
         (eps_type_max, vmax) :: (-.eps_type_min, vmin) :: acc)
       type_vars []
   in
-  Lp.Model.set_objective b.model ((1.0, b.lambda) :: refinement);
+  Lp.Model.set_objective b.model ((1.0, b.lambda) :: refinement)
+
+let finish b ?warm () =
   (* [?warm] threads the previous plan's snapshot through the solver:
      the basis is reused when the rebuilt model still has the same
      layout (phase 2 only), and the cold two-phase path runs otherwise
@@ -302,8 +305,7 @@ let group_entry_sources cand ~group_sources sources =
     List.rev_map (fun fp -> !(Hashtbl.find groups fp)) !order
   end
 
-let solve_simplified cand ~rules ~traffic ?(group_sources = true) ?lambda_cap
-    ?warm () =
+let build_simplified cand ~rules ~traffic ~group_sources ?lambda_cap () =
   let b = new_builder (Candidate.deployment cand) in
   let rec add = function
     | [] -> Ok ()
@@ -322,9 +324,23 @@ let solve_simplified cand ~rules ~traffic ?(group_sources = true) ?lambda_cap
   in
   match add rules with
   | Error e -> Error e
-  | Ok () -> finish b cand ?lambda_cap ?warm ()
+  | Ok () ->
+    complete b cand ?lambda_cap ();
+    Ok b
   | exception Not_found ->
     Error "a rule references a function no middlebox implements"
+
+let solve_simplified cand ~rules ~traffic ?(group_sources = true) ?lambda_cap
+    ?warm () =
+  Result.bind
+    (build_simplified cand ~rules ~traffic ~group_sources ?lambda_cap ())
+    (fun b -> finish b ?warm ())
+
+let model_simplified cand ~rules ~traffic ?(group_sources = true) ?lambda_cap
+    () =
+  Result.map
+    (fun b -> b.model)
+    (build_simplified cand ~rules ~traffic ~group_sources ?lambda_cap ())
 
 let solve_exact cand ~rules ~traffic ?lambda_cap ?warm () =
   let b = new_builder (Candidate.deployment cand) in
@@ -349,6 +365,8 @@ let solve_exact cand ~rules ~traffic ?lambda_cap ?warm () =
   in
   match add rules with
   | Error e -> Error e
-  | Ok () -> finish b cand ?lambda_cap ?warm ()
+  | Ok () ->
+    complete b cand ?lambda_cap ();
+    finish b ?warm ()
   | exception Not_found ->
     Error "a rule references a function no middlebox implements"

@@ -42,7 +42,7 @@ type result = {
   lp_fallback : bool;      (** a warm basis was supplied but the cold
                                two-phase path ran *)
   lp_snapshot : Lp.Model.snapshot option;
-      (** the solve's basis + row cache, to pass as [?warm] next time *)
+      (** the solve's basis, to pass as [?warm] next time *)
 }
 
 val solve_simplified :
@@ -54,6 +54,18 @@ val solve_simplified :
   ?warm:Lp.Model.snapshot ->
   unit ->
   (result, string) Stdlib.result
+
+val model_simplified :
+  Candidate.t ->
+  rules:Policy.Rule.t list ->
+  traffic:Measurement.t ->
+  ?group_sources:bool ->
+  ?lambda_cap:float ->
+  unit ->
+  (Lp.Model.t, string) Stdlib.result
+(** The Eq. (2) model {!solve_simplified} would solve, unsolved: for
+    inspecting the LP itself (its size, or the pivot path an engine
+    takes on it). *)
 
 val solve_exact :
   Candidate.t ->

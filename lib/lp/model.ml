@@ -1,53 +1,25 @@
 type var = int
 
-type cmp = Le | Ge | Eq
-
-type row = { terms : (float * var) list; cmp : cmp; rhs : float }
+type cmp = Simplex.sense = Le | Ge | Eq
 
 type t = {
-  id : int; (* instance identity, gating snapshot row-cache reuse *)
   mutable names : string list; (* reversed *)
   mutable n : int;
-  mutable rows : row list; (* reversed *)
+  mutable rows : Simplex.row list; (* reversed *)
   mutable m : int;
   mutable objective : (float * var) list;
-  (* Row-mutation log for diff-aware re-solving: [mut_seq] bumps on
-     every in-place row edit, [mut_log] records (seq, row index)
-     newest-first.  A snapshot remembers the seq it was taken at, so
-     [resolve] re-densifies exactly the rows edited since. *)
-  mutable mut_seq : int;
-  mutable mut_log : (int * int) list;
 }
 
 type solution = { objective : float; values : float array }
 
 type outcome = Optimal of solution | Infeasible | Unbounded
 
-type snapshot = {
-  sn_model : int;
-  sn_n : int;
-  sn_m : int;
-  sn_seq : int;
-  sn_rows : (float array * Simplex.sense * float) array;
-  sn_basis : Simplex.basis option;
-}
+(* What a later solve can reuse: the optimal basis, when there was one.
+   The live controller rebuilds its model for every re-solve, so
+   nothing else of the old model is worth keeping. *)
+type snapshot = Simplex.basis option
 
-(* Atomic: models are created inside worker domains during parallel
-   experiment fan-out.  The id never reaches any output — it only
-   keeps one model's snapshot from poisoning another's row cache. *)
-let next_id = Atomic.make 0
-
-let create () =
-  {
-    id = Atomic.fetch_and_add next_id 1;
-    names = [];
-    n = 0;
-    rows = [];
-    m = 0;
-    objective = [];
-    mut_seq = 0;
-    mut_log = [];
-  }
+let create () = { names = []; n = 0; rows = []; m = 0; objective = [] }
 
 let var t name =
   let id = t.n in
@@ -80,28 +52,23 @@ let normalise terms =
     terms;
   Hashtbl.fold (fun v c acc -> if c = 0.0 then acc else (c, v) :: acc) tbl []
 
-let add_constraint t terms cmp rhs =
+let add_constraint t terms sense rhs =
   check_terms t terms;
-  t.rows <- { terms = normalise terms; cmp; rhs } :: t.rows;
+  t.rows <- { Simplex.terms = normalise terms; sense; rhs } :: t.rows;
   t.m <- t.m + 1
 
 (* In-place row edits.  [i] is the constraint's insertion index; the
    internal list is reversed, so position [m - 1 - i] is the target. *)
-let touch t i =
-  t.mut_seq <- t.mut_seq + 1;
-  t.mut_log <- (t.mut_seq, i) :: t.mut_log
-
 let edit_row t i f =
   if i < 0 || i >= t.m then invalid_arg "Model: bad constraint index";
   let pos = t.m - 1 - i in
-  t.rows <- List.mapi (fun j r -> if j = pos then f r else r) t.rows;
-  touch t i
+  t.rows <- List.mapi (fun j r -> if j = pos then f r else r) t.rows
 
-let set_rhs t i rhs = edit_row t i (fun r -> { r with rhs })
+let set_rhs t i rhs = edit_row t i (fun r -> { r with Simplex.rhs })
 
-let replace_constraint t i terms cmp rhs =
+let replace_constraint t i terms sense rhs =
   check_terms t terms;
-  edit_row t i (fun _ -> { terms = normalise terms; cmp; rhs })
+  edit_row t i (fun _ -> { Simplex.terms = normalise terms; sense; rhs })
 
 let set_objective t terms =
   check_terms t terms;
@@ -109,82 +76,43 @@ let set_objective t terms =
 
 let value sol v = sol.values.(v)
 
-let dense_row n { terms; cmp; rhs } =
-  let coefs = Array.make n 0.0 in
-  List.iter (fun (c, v) -> coefs.(v) <- coefs.(v) +. c) terms;
-  let sense =
-    match cmp with Le -> Simplex.Le | Ge -> Simplex.Ge | Eq -> Simplex.Eq
-  in
-  (coefs, sense, rhs)
-
-let dense_cost t =
+let problem t =
   let cost = Array.make t.n 0.0 in
   List.iter (fun (c, v) -> cost.(v) <- cost.(v) +. c) t.objective;
-  cost
-
-(* Densify all rows, reusing [prev]'s cached dense rows for every
-   index that is still clean: same variable count, below the previous
-   row count, and not edited since the snapshot was taken.  The cached
-   tuples are safe to share — the simplex engine copies coefficients
-   into its own tableau and never mutates its inputs. *)
-let dense_rows ?prev t =
-  let rows = Array.of_list (List.rev t.rows) in
-  match prev with
-  | Some p when p.sn_model = t.id && p.sn_n = t.n ->
-    let dirty = Array.make (Stdlib.min p.sn_m t.m) false in
-    let rec mark = function
-      | (seq, i) :: rest when seq > p.sn_seq ->
-        if i < Array.length dirty then dirty.(i) <- true;
-        mark rest
-      | _ -> ()
-    in
-    mark t.mut_log;
-    Array.mapi
-      (fun i r ->
-        if i < p.sn_m && not dirty.(i) then p.sn_rows.(i) else dense_row t.n r)
-      rows
-  | _ -> Array.map (dense_row t.n) rows
-
-let outcome_of cost = function
-  | Simplex.Optimal values ->
-    let objective =
-      Array.fold_left ( +. ) 0.0 (Array.mapi (fun i v -> cost.(i) *. v) values)
-    in
-    Optimal { objective; values }
-  | Simplex.Infeasible -> Infeasible
-  | Simplex.Unbounded -> Unbounded
+  (cost, Array.of_list (List.rev t.rows))
 
 let solve_ext ?prev t =
-  let cost = dense_cost t in
-  let rows = dense_rows ?prev t in
-  let warm_basis =
-    match prev with
-    | Some { sn_n; sn_m; sn_basis = Some b; _ } when sn_n = t.n && sn_m = t.m
-      ->
-      Some b
-    | _ -> None
-  in
+  let cost, rows = problem t in
+  let warm_basis = Option.join prev in
   let outcome, stats, basis = Simplex.solve_ext ?warm_basis ~cost ~rows () in
   let stats =
-    (* A snapshot that could not even be offered to the engine (grown
-       model, or a previous solve that was not optimal) is still a
-       failed warm attempt from the caller's point of view. *)
+    (* A snapshot that could not even be offered to the engine (the
+       previous solve was not optimal) is still a failed warm attempt
+       from the caller's point of view. *)
     if prev <> None && not stats.Simplex.warm_used then
       { stats with Simplex.fallback = true }
     else stats
   in
-  let snapshot =
-    { sn_model = t.id; sn_n = t.n; sn_m = t.m; sn_seq = t.mut_seq;
-      sn_rows = rows; sn_basis = basis }
+  let outcome =
+    match outcome with
+    | Simplex.Optimal { x; y } ->
+      (match Certificate.check ~cost ~rows ~x ~y with
+      | Ok () -> ()
+      | Error e -> failwith ("Lp.Model: optimum fails its duality certificate: " ^ e));
+      let objective =
+        Array.fold_left ( +. ) 0.0 (Array.mapi (fun i v -> cost.(i) *. v) x)
+      in
+      Optimal { objective; values = x }
+    | Simplex.Infeasible -> Infeasible
+    | Simplex.Unbounded -> Unbounded
   in
-  (outcome_of cost outcome, stats, snapshot)
+  (outcome, stats, basis)
 
 let resolve t ~prev = solve_ext ~prev t
 
 let solve t =
-  let cost = dense_cost t in
-  let rows = dense_rows t in
-  outcome_of cost (Simplex.solve ~cost ~rows)
+  let outcome, _, _ = solve_ext t in
+  outcome
 
 let pp_outcome ppf = function
   | Optimal { objective; _ } -> Format.fprintf ppf "optimal(%.6g)" objective

@@ -167,11 +167,11 @@ let test_phase1_pivots_counted_apart () =
      The phase-1 pivot lands in [phase1_pivots] and not in [pivots]. *)
   let result, s, _ =
     Lp.Simplex.solve_ext ~cost:[| 1.0 |]
-      ~rows:[| ([| 1.0 |], Lp.Simplex.Ge, 3.0) |]
+      ~rows:[| { Lp.Simplex.terms = [ (1.0, 0) ]; sense = Ge; rhs = 3.0 } |]
       ()
   in
   (match result with
-  | Lp.Simplex.Optimal v -> check_float "x" 3.0 v.(0)
+  | Lp.Simplex.Optimal { x; _ } -> check_float "x" 3.0 x.(0)
   | _ -> Alcotest.fail "expected optimal");
   Alcotest.(check int) "phase-1 pivots" 1 s.Lp.Simplex.phase1_pivots;
   Alcotest.(check int) "phase-2 pivots exclude phase 1" 0 s.Lp.Simplex.pivots
@@ -323,12 +323,13 @@ let test_simplex_warm_layout_mismatch () =
      is rejected at import and the cold path answers. *)
   let _, _, basis =
     Lp.Simplex.solve_ext ~cost:[| 1.0 |]
-      ~rows:[| ([| 1.0 |], Lp.Simplex.Ge, 3.0) |]
+      ~rows:[| { Lp.Simplex.terms = [ (1.0, 0) ]; sense = Ge; rhs = 3.0 } |]
       ()
   in
   let o, s, _ =
     Lp.Simplex.solve_ext ?warm_basis:basis ~cost:[| 1.0; 0.0 |]
-      ~rows:[| ([| 1.0; 1.0 |], Lp.Simplex.Ge, 3.0) |]
+      ~rows:
+        [| { Lp.Simplex.terms = [ (1.0, 0); (1.0, 1) ]; sense = Ge; rhs = 3.0 } |]
       ()
   in
   (match o with
@@ -571,6 +572,113 @@ let qcheck_warm_noop =
         s.Lp.Simplex.fallback && not s.Lp.Simplex.warm_used
       | _ -> false)
 
+(* --- Duality certificate ------------------------------------------- *)
+
+let test_certificate_tamper () =
+  (* The two-variable instance: optimum -7 at (1,3).  The engine's own
+     (x, y) pass; a shifted x or a sign-flipped y must each fail with
+     the condition named. *)
+  let m, _, _ = two_var_model () in
+  let cost, rows = Lp.Model.problem m in
+  match Lp.Simplex.solve ~cost ~rows with
+  | Lp.Simplex.Optimal { x; y } ->
+    let verdict ~x ~y = Lp.Certificate.check ~cost ~rows ~x ~y in
+    Alcotest.(check (result unit string)) "engine optimum certified" (Ok ())
+      (verdict ~x ~y);
+    let fails_with what r =
+      match r with
+      | Ok () -> Alcotest.failf "tampered %s passed the certificate" what
+      | Error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s names the condition (%s)" what msg)
+          true
+          (String.length msg > 0)
+    in
+    let expect prefix what r =
+      fails_with what r;
+      match r with
+      | Error msg ->
+        Alcotest.(check string) (what ^ " condition") prefix
+          (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+      | Ok () -> ()
+    in
+    (* (2,3) violates x + y <= 4. *)
+    expect "primal feasibility" "x"
+      (verdict ~x:(Array.mapi (fun j v -> if j = 0 then v +. 1.0 else v) x) ~y);
+    (* (0,3) is feasible but not optimal: the gap opens. *)
+    expect "duality gap" "feasible x"
+      (verdict ~x:(Array.mapi (fun j v -> if j = 0 then v -. 1.0 else v) x) ~y);
+    expect "dual sign" "y" (verdict ~x ~y:(Array.map (fun v -> -.v) y));
+    (* y = 0 has the right signs but leaves reduced costs negative. *)
+    expect "dual feasibility" "zero y" (verdict ~x ~y:(Array.map (fun _ -> 0.0) y))
+  | _ -> Alcotest.fail "expected optimal"
+
+(* --- Differential tests against the dense tableau oracle ------------ *)
+
+let qcheck_vs_dense =
+  let open QCheck in
+  let lp_gen, _, _ = random_lp_gen in
+  Test.make ~count:500 ~name:"sparse engine matches the dense oracle"
+    (make lp_gen)
+    (fun (rows, cost) ->
+      let m, _ = build_random_lp (rows, cost) in
+      let cost, rows = Lp.Model.problem m in
+      match (Lp.Model.solve m, Dense_simplex.solve ~cost ~rows ()) with
+      | Lp.Model.Optimal s, (Dense_simplex.Optimal x, _, _) ->
+        let d = Array.fold_left ( +. ) 0.0 (Array.mapi (fun j v -> cost.(j) *. v) x) in
+        abs_float (s.Lp.Model.objective -. d)
+        <= 1e-9 *. Float.max 1.0 (abs_float d)
+      | Lp.Model.Infeasible, (Dense_simplex.Infeasible, _, _)
+      | Lp.Model.Unbounded, (Dense_simplex.Unbounded, _, _) -> true
+      | _ -> false)
+
+let eq2_problem scen ~seed ~flows =
+  let dep = Sim.Experiment.build_deployment scen ~seed in
+  let workload = Sim.Workload.generate ~deployment:dep ~seed ~flows () in
+  let traffic = Sim.Workload.measure workload in
+  match
+    Sdm.Controller.configure dep ~rules:workload.Sim.Workload.rules
+      Sdm.Controller.Hot_potato
+  with
+  | Error e -> Alcotest.fail e
+  | Ok c -> (
+    match
+      Sdm.Lp_formulation.model_simplified c.Sdm.Controller.candidates
+        ~rules:c.Sdm.Controller.rules ~traffic ()
+    with
+    | Error e -> Alcotest.fail e
+    | Ok model -> Lp.Model.problem model)
+
+let test_eq2_same_pivot_path () =
+  (* The seeded Eq. (2) instances of the pinned packet-simulator
+     oracle: the sparse engine must take the dense tableau's path
+     pivot for pivot, so every figure derived from the plan stays. *)
+  List.iter
+    (fun (name, scen, seed, flows) ->
+      let cost, rows = eq2_problem scen ~seed ~flows in
+      let trace () =
+        let l = ref [] in
+        (l, fun ~enter ~leave -> l := (enter, leave) :: !l)
+      in
+      let sparse_path, on_pivot = trace () in
+      let sparse, stats, _ = Lp.Simplex.solve_ext ~on_pivot ~cost ~rows () in
+      let dense_path, on_pivot = trace () in
+      let dense, phase1, phase2 = Dense_simplex.solve ~on_pivot ~cost ~rows () in
+      (match (sparse, dense) with
+      | Lp.Simplex.Optimal _, Dense_simplex.Optimal _ -> ()
+      | _ -> Alcotest.failf "%s: expected two optima" name);
+      Alcotest.(check int) (name ^ " phase-1 pivots") phase1
+        stats.Lp.Simplex.phase1_pivots;
+      Alcotest.(check int) (name ^ " phase-2 pivots") phase2
+        stats.Lp.Simplex.pivots;
+      Alcotest.(check (list (pair int int)))
+        (name ^ " entering/leaving sequence")
+        (List.rev !dense_path) (List.rev !sparse_path))
+    [
+      ("campus", Sim.Experiment.Campus, 21, 300);
+      ("waxman", Sim.Experiment.Waxman, 17, 120);
+    ]
+
 let suite =
   [
     Alcotest.test_case "trivial min" `Quick test_trivial_min;
@@ -608,4 +716,9 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_feasibility;
     QCheck_alcotest.to_alcotest qcheck_warm_vs_cold;
     QCheck_alcotest.to_alcotest qcheck_warm_noop;
+    Alcotest.test_case "certificate: tampered x or y fails" `Quick
+      test_certificate_tamper;
+    QCheck_alcotest.to_alcotest qcheck_vs_dense;
+    Alcotest.test_case "sparse engine takes the dense path on Eq. (2)" `Slow
+      test_eq2_same_pivot_path;
   ]
