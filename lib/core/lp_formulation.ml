@@ -336,11 +336,10 @@ let solve_simplified cand ~rules ~traffic ?(group_sources = true) ?lambda_cap
     (build_simplified cand ~rules ~traffic ~group_sources ?lambda_cap ())
     (fun b -> finish b ?warm ())
 
-let model_simplified cand ~rules ~traffic ?(group_sources = true) ?lambda_cap
-    () =
+let model_simplified cand ~rules ~traffic =
   Result.map
     (fun b -> b.model)
-    (build_simplified cand ~rules ~traffic ~group_sources ?lambda_cap ())
+    (build_simplified cand ~rules ~traffic ~group_sources:true ())
 
 let solve_exact cand ~rules ~traffic ?lambda_cap ?warm () =
   let b = new_builder (Candidate.deployment cand) in

@@ -59,13 +59,10 @@ val model_simplified :
   Candidate.t ->
   rules:Policy.Rule.t list ->
   traffic:Measurement.t ->
-  ?group_sources:bool ->
-  ?lambda_cap:float ->
-  unit ->
   (Lp.Model.t, string) Stdlib.result
-(** The Eq. (2) model {!solve_simplified} would solve, unsolved: for
-    inspecting the LP itself (its size, or the pivot path an engine
-    takes on it). *)
+(** The Eq. (2) model {!solve_simplified} would solve with its
+    defaults, unsolved: for inspecting the LP itself (its size, or the
+    pivot path an engine takes on it). *)
 
 val solve_exact :
   Candidate.t ->

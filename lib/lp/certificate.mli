@@ -11,11 +11,8 @@
 
     The checker sees only the rows, the costs, [x] and [y] — nothing of
     the engine that produced them.  Each condition holds within
-    {!tol}, absolute on signs and relative to [1 +] the sum of the
+    [1e-6]: absolute on signs, and relative to [1 +] the sum of the
     magnitudes of the terms involved on sums. *)
-
-val tol : float
-(** [1e-6]. *)
 
 val check :
   cost:float array ->

@@ -131,10 +131,9 @@ let solve ?(on_pivot = fun ~enter:_ ~leave:_ -> ()) ~cost
         else (coefs, sense, rhs))
       rows
   in
-  let count sense' =
-    Array.fold_left (fun k (_, s, _) -> if List.mem s sense' then k + 1 else k) 0 norm
-  in
-  let slacks = count [ Lp.Simplex.Le; Ge ] and artificials = count [ Ge; Eq ] in
+  let count p = Array.fold_left (fun k (_, s, _) -> if p s then k + 1 else k) 0 norm in
+  let slacks = count (fun s -> s <> Lp.Simplex.Eq)
+  and artificials = count (fun s -> s <> Lp.Simplex.Le) in
   let art_first = n + slacks in
   let width = art_first + artificials in
   let a = Array.make_matrix (m + 1) (width + 1) 0.0 in
