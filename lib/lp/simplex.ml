@@ -45,6 +45,9 @@ type lp = {
   crow : int array;
   cval : float array;
   b : float array;
+  logical : int array; (* the cold-start basis, which is the identity:
+                          each Le row's slack, each Ge/Eq row's
+                          artificial *)
 }
 
 let normalise rows =
@@ -94,26 +97,26 @@ let build_lp ~n rows norm =
     fill.(j) <- fill.(j) + 1
   in
   let slack = ref n and art = ref art_first in
-  Array.iteri
-    (fun i r ->
-      let sign, sense, _ = norm.(i) in
-      List.iter (fun (a, j) -> put j i (sign *. a)) r.terms;
-      let logical v =
-        put !slack i v;
-        incr slack
-      in
-      let artificial () =
-        put !art i 1.0;
-        incr art
-      in
-      match sense with
-      | Le -> logical 1.0
-      | Ge -> logical (-1.0); artificial ()
-      | Eq -> artificial ())
-    rows;
+  let logical =
+    Array.mapi
+      (fun i r ->
+        let sign, sense, _ = norm.(i) in
+        List.iter (fun (a, j) -> put j i (sign *. a)) r.terms;
+        let next col v =
+          put !col i v;
+          incr col;
+          !col - 1
+        in
+        match sense with
+        | Le -> next slack 1.0
+        | Ge -> ignore (next slack (-1.0)); next art 1.0
+        | Eq -> next art 1.0)
+      rows
+  in
   {
     m; n; width; art_first; cstart; crow; cval;
     b = Array.map (fun (_, _, rhs) -> rhs) norm;
+    logical;
   }
 
 (* Product-form basis inverse: B⁻¹ = E_k ⋯ E_1, each E_e the identity
@@ -403,17 +406,6 @@ let solve_ext ?warm_basis ?(on_pivot = no_trace) ~cost ~rows () =
   let lp = build_lp ~n rows norm in
   let m = lp.m and width = lp.width and art_first = lp.art_first in
   let senses = Array.map (fun (_, sense, _) -> sense) norm in
-  (* The cold start is the logical basis, which is the identity: each
-     Le row's slack, each Ge/Eq row's artificial. *)
-  let logical =
-    let slack = ref (n - 1) and art = ref (art_first - 1) in
-    Array.map
-      (function
-        | Le -> incr slack; !slack
-        | Ge -> incr slack; incr art; !art
-        | Eq -> incr art; !art)
-      senses
-  in
   let st =
     {
       lp;
@@ -522,7 +514,7 @@ let solve_ext ?warm_basis ?(on_pivot = no_trace) ~cost ~rows () =
         fallback = warm_basis <> None }
     in
     (* ---- Cold path. *)
-    set_basis logical;
+    set_basis lp.logical;
     st.etas.k <- 0;
     st.since_refactor <- 0;
     Array.blit lp.b 0 st.xb 0 m;
