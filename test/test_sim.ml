@@ -1526,6 +1526,91 @@ let test_pktsim_corruption_without_sweep () =
     Alcotest.(check int) "unenforceable deadlines stay clean" 0
       r.Audit.Checker.violations
 
+(* The lossy live control plane, pinned counter by counter: three
+   replicas whose leader crashes, an anti-entropy sweep chasing a
+   corruption burst, 5% control loss, and a link cut that partitions a
+   proxy from the controller for a while.  Every config push, quorum
+   message, commit notice and sweep visit draws from one loss stream
+   and schedules on one engine, so any reordering of a draw or of a
+   schedule call moves these numbers. *)
+let test_pktsim_live_plane_pinned () =
+  let controller, workload = small_pkt_setup ~strategy:`Hp ~flows:150 () in
+  let probe = Sim.Pktsim.run ~config:pkt_config ~controller ~workload () in
+  let horizon = probe.Sim.Pktsim.sim_time in
+  let dep = controller.Sdm.Controller.deployment in
+  let cut = Sdm.Deployment.entity_router dep (Mbox.Entity.Proxy 0) in
+  let cut_links =
+    List.map
+      (fun { Netgraph.Graph.dst; _ } -> (cut, dst))
+      (Netgraph.Graph.neighbors dep.Sdm.Deployment.topo.Netgraph.Topology.graph
+         cut)
+  in
+  let events =
+    Fault.Schedule.(
+      ({ at = 0.3 *. horizon; what = Ctrl_crash 0 }
+       :: List.map
+            (fun (u, v) -> { at = 0.4 *. horizon; what = Link_fail (u, v) })
+            cut_links)
+      @ List.map
+          (fun (u, v) -> { at = 0.7 *. horizon; what = Link_restore (u, v) })
+          cut_links
+      @ corruption_events ~seed:23 ~rate:0.3 ~horizon
+          ~n_proxies:(Array.length dep.Sdm.Deployment.proxies)
+          ~n_mboxes:(Array.length dep.Sdm.Deployment.middleboxes))
+  in
+  let live =
+    {
+      Sim.Pktsim.default_live with
+      epoch_interval = horizon /. 4.0;
+      reconcile_interval = horizon /. 16.0;
+      replicas = 3;
+      sweep_period = Some (horizon /. 10.0);
+    }
+  in
+  let config =
+    {
+      pkt_config with
+      faults =
+        Some (Fault.Schedule.make ~control_loss:0.05 ~loss_seed:11 events);
+      live = Some live;
+    }
+  in
+  let s = Sim.Pktsim.run ~config ~controller ~workload () in
+  let sum = Array.fold_left ( + ) 0 in
+  let chk name expected actual = Alcotest.(check int) name expected actual in
+  let chkf name expected actual =
+    Alcotest.(check (float 0.0)) name expected actual
+  in
+  chk "config pushes" 169 s.Sim.Pktsim.config_pushes;
+  chk "config acks" 149 s.Sim.Pktsim.config_acks;
+  chk "config lost" 15 s.Sim.Pktsim.config_lost;
+  chk "config bytes" 61496 s.Sim.Pktsim.config_bytes;
+  chk "config degraded" 7 s.Sim.Pktsim.config_degraded;
+  chk "reoptimizations" 4 s.Sim.Pktsim.reoptimizations;
+  chk "final config version" 4 s.Sim.Pktsim.final_config_version;
+  chk "stale devices" 0 s.Sim.Pktsim.stale_devices;
+  chk "quorum rounds" 4 s.Sim.Pktsim.quorum_rounds;
+  chk "quorum commits" 4 s.Sim.Pktsim.quorum_commits;
+  chk "quorum aborts" 0 s.Sim.Pktsim.quorum_aborts;
+  chk "quorum msgs" 41 s.Sim.Pktsim.quorum_msgs;
+  chk "quorum lost" 26 s.Sim.Pktsim.quorum_lost;
+  chk "leader changes" 1 s.Sim.Pktsim.leader_changes;
+  chk "sweep rounds" 10 s.Sim.Pktsim.sweep_rounds;
+  chk "sweep msgs" 689 s.Sim.Pktsim.sweep_msgs;
+  chk "sweep lost" 39 s.Sim.Pktsim.sweep_lost;
+  chk "sweep bytes" 10840 s.Sim.Pktsim.sweep_bytes;
+  chk "corruptions injected" 104 s.Sim.Pktsim.corruptions_injected;
+  chk "corruptions manifested" 7 s.Sim.Pktsim.corruptions_manifested;
+  chk "corruptions detected" 52 s.Sim.Pktsim.corruptions_detected;
+  chk "corruptions repaired" 104 s.Sim.Pktsim.corruptions_repaired;
+  chk "entity control retries" 66 (sum s.Sim.Pktsim.entity_control_retries);
+  chk "entity control lost" 66 (sum s.Sim.Pktsim.entity_control_lost);
+  chk "label control retries" 12 s.Sim.Pktsim.control_retries;
+  chk "label control lost" 12 s.Sim.Pktsim.control_lost;
+  chk "events processed" 18234 s.Sim.Pktsim.events_processed;
+  chkf "sim_time" 0x1.8e17756fd845fp+9 s.Sim.Pktsim.sim_time;
+  chkf "latency mean" 0x1.c3134a06d7bcbp-1 s.Sim.Pktsim.latency_mean
+
 let test_experiment_corrupt_invariant () =
   (* ABL-CORRUPT is bit-identical across the fan-out axes, and its
      sweep-enabled rows repair every injected corruption. *)
@@ -1787,6 +1872,8 @@ let suite =
       test_pktsim_sweep_repairs_corruption;
     Alcotest.test_case "pktsim corruption without sweep" `Quick
       test_pktsim_corruption_without_sweep;
+    Alcotest.test_case "pktsim live plane pinned oracle" `Quick
+      test_pktsim_live_plane_pinned;
     Alcotest.test_case "experiment corrupt jobs/shards invariance" `Slow
       test_experiment_corrupt_invariant;
     QCheck_alcotest.to_alcotest qcheck_pktsim_chaos;
