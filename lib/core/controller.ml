@@ -21,7 +21,8 @@ let referenced_functions rules =
   List.concat_map (fun r -> r.Policy.Rule.actions) rules
   |> List.sort_uniq Policy.Action.compare_nf
 
-let configure deployment ~rules ?(k = default_k) ?(failed = []) kind =
+(* Candidate sets around the [failed] boxes, rebuilt from scratch. *)
+let fresh_candidates deployment ~rules ~k ~failed =
   let missing =
     List.filter
       (fun nf -> Deployment.middleboxes_of deployment nf = [])
@@ -31,54 +32,51 @@ let configure deployment ~rules ?(k = default_k) ?(failed = []) kind =
     Error
       (Printf.sprintf "no middlebox implements: %s"
          (String.concat ", " (List.map Policy.Action.nf_to_string missing)))
-  else begin
+  else
     match Candidate.compute ~exclude:failed deployment ~k with
     | exception Invalid_argument e -> Error e
-    | candidates ->
-    (
+    | candidates -> Ok candidates
+
+(* Solve the placement LP over [candidates] — the exact formulation or
+   the aggregated Eq. (2) — and wrap the plan. *)
+let load_balanced deployment ~rules ~k ~exact ~warm candidates ~traffic =
+  let plan strategy lp =
+    Ok { deployment; candidates; rules; strategy; lp = Some lp; k }
+  in
+  if exact then
+    match Lp_formulation.solve_exact candidates ~rules ~traffic ?warm () with
+    | Error e -> Error e
+    | Ok lp ->
+      let sd =
+        (* solve_exact always tags commodities; an empty measurement
+           legitimately yields no rows. *)
+        Option.value ~default:(Weights_sd.create ())
+          lp.Lp_formulation.weights_sd
+      in
+      plan (Strategy.Load_balanced_exact (sd, lp.Lp_formulation.weights)) lp
+  else
+    match
+      Lp_formulation.solve_simplified candidates ~rules ~traffic ?warm ()
+    with
+    | Error e -> Error e
+    | Ok lp -> plan (Strategy.Load_balanced lp.Lp_formulation.weights) lp
+
+let configure deployment ~rules ?(k = default_k) ?(failed = []) kind =
+  match fresh_candidates deployment ~rules ~k ~failed with
+  | Error e -> Error e
+  | Ok candidates -> (
+    let unweighted strategy =
+      Ok { deployment; candidates; rules; strategy; lp = None; k }
+    in
     match kind with
-    | Hot_potato ->
-      Ok
-        { deployment; candidates; rules; strategy = Strategy.Hot_potato;
-          lp = None; k }
-    | Random_uniform ->
-      Ok
-        { deployment; candidates; rules; strategy = Strategy.Random_uniform;
-          lp = None; k }
-    | Load_balanced traffic -> (
-      match Lp_formulation.solve_simplified candidates ~rules ~traffic () with
-      | Error e -> Error e
-      | Ok lp ->
-        Ok
-          {
-            deployment;
-            candidates;
-            rules;
-            strategy = Strategy.Load_balanced lp.Lp_formulation.weights;
-            lp = Some lp;
-            k;
-          })
-    | Load_balanced_exact traffic -> (
-      match Lp_formulation.solve_exact candidates ~rules ~traffic () with
-      | Error e -> Error e
-      | Ok lp ->
-        let sd =
-          (* solve_exact always tags commodities; an empty measurement
-             legitimately yields no rows. *)
-          Option.value ~default:(Weights_sd.create ())
-            lp.Lp_formulation.weights_sd
-        in
-        Ok
-          {
-            deployment;
-            candidates;
-            rules;
-            strategy =
-              Strategy.Load_balanced_exact (sd, lp.Lp_formulation.weights);
-            lp = Some lp;
-            k;
-          }))
-  end
+    | Hot_potato -> unweighted Strategy.Hot_potato
+    | Random_uniform -> unweighted Strategy.Random_uniform
+    | Load_balanced traffic ->
+      load_balanced deployment ~rules ~k ~exact:false ~warm:None candidates
+        ~traffic
+    | Load_balanced_exact traffic ->
+      load_balanced deployment ~rules ~k ~exact:true ~warm:None candidates
+        ~traffic)
 
 let reoptimize t ?(failed = []) ?(use_warm = false) ~traffic () =
   (* The live controller's reaction to measurements and detected
@@ -97,55 +95,24 @@ let reoptimize t ?(failed = []) ?(use_warm = false) ~traffic () =
      counts — never feasibility or the objective — depend on the
      flag.  [use_warm = false] is the cold path, bit-identical to
      builds without warm-start support. *)
-  if not use_warm then
-    let kind =
-      match t.strategy with
-      | Strategy.Load_balanced_exact _ -> Load_balanced_exact traffic
-      | Strategy.Hot_potato | Strategy.Random_uniform
-      | Strategy.Load_balanced _ ->
-        Load_balanced traffic
-    in
-    configure t.deployment ~rules:t.rules ~k:t.k ~failed kind
-  else begin
-    match Candidate.with_excluded t.candidates failed with
-    | Error e -> Error e
-    | Ok candidates -> (
-      let warm = Option.bind t.lp (fun lp -> lp.Lp_formulation.lp_snapshot) in
-      match t.strategy with
-      | Strategy.Load_balanced_exact _ -> (
-        match
-          Lp_formulation.solve_exact candidates ~rules:t.rules ~traffic ?warm ()
-        with
-        | Error e -> Error e
-        | Ok lp ->
-          let sd =
-            Option.value ~default:(Weights_sd.create ())
-              lp.Lp_formulation.weights_sd
-          in
-          Ok
-            {
-              t with
-              candidates;
-              strategy =
-                Strategy.Load_balanced_exact (sd, lp.Lp_formulation.weights);
-              lp = Some lp;
-            })
-      | Strategy.Hot_potato | Strategy.Random_uniform
-      | Strategy.Load_balanced _ -> (
-        match
-          Lp_formulation.solve_simplified candidates ~rules:t.rules ~traffic
-            ?warm ()
-        with
-        | Error e -> Error e
-        | Ok lp ->
-          Ok
-            {
-              t with
-              candidates;
-              strategy = Strategy.Load_balanced lp.Lp_formulation.weights;
-              lp = Some lp;
-            }))
-  end
+  let candidates, warm =
+    if use_warm then
+      ( Candidate.with_excluded t.candidates failed,
+        Option.bind t.lp (fun lp -> lp.Lp_formulation.lp_snapshot) )
+    else (fresh_candidates t.deployment ~rules:t.rules ~k:t.k ~failed, None)
+  in
+  let exact =
+    match t.strategy with
+    | Strategy.Load_balanced_exact _ -> true
+    | Strategy.Hot_potato | Strategy.Random_uniform | Strategy.Load_balanced _
+      ->
+      false
+  in
+  match candidates with
+  | Error e -> Error e
+  | Ok candidates ->
+    load_balanced t.deployment ~rules:t.rules ~k:t.k ~exact ~warm candidates
+      ~traffic
 
 let policy_table_for t = function
   | Mbox.Entity.Proxy i ->

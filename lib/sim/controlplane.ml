@@ -103,14 +103,10 @@ let entity_bytes (c : Sdm.Controller.t) entity =
   + (candidates * bytes_per_candidate)
   + (weight_cells * bytes_per_weight_cell)
 
-let price ?controller_router ?(link_delay = 1.0) (c : Sdm.Controller.t) ~traffic =
+let price (c : Sdm.Controller.t) ~traffic =
   let dep = c.Sdm.Controller.deployment in
   let topo = dep.Sdm.Deployment.topo in
-  let controller_router =
-    match controller_router with
-    | Some r -> r
-    | None -> default_router dep
-  in
+  let controller_router = default_router dep in
   let entities =
     List.init (Array.length dep.Sdm.Deployment.proxies) (fun i ->
         Mbox.Entity.Proxy i)
@@ -146,7 +142,7 @@ let price ?controller_router ?(link_delay = 1.0) (c : Sdm.Controller.t) ~traffic
     config_messages = List.length entities;
     config_bytes = !config_bytes;
     config_byte_hops = !byte_hops;
-    time_to_configure = float_of_int !max_hops *. link_delay;
+    time_to_configure = float_of_int !max_hops;
     report_bytes_per_epoch = !report_bytes;
   }
 

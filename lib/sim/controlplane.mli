@@ -21,7 +21,7 @@ type report = {
   config_messages : int;     (** one per managed device *)
   config_bytes : int;
   config_byte_hops : int;    (** Σ bytes x hop count — network cost *)
-  time_to_configure : float; (** max hops x link delay *)
+  time_to_configure : float; (** max hops, one time unit each *)
   report_bytes_per_epoch : int; (** proxies' measurement reports *)
 }
 
@@ -38,8 +38,8 @@ val entity_of_device : Sdm.Deployment.t -> int -> Mbox.Entity.t
     range. *)
 
 val default_router : Sdm.Deployment.t -> int
-(** The controller's attachment router when none is given: the first
-    gateway, falling back to the first core router. *)
+(** The controller's attachment router: the first gateway, falling
+    back to the first core router. *)
 
 val replica_routers : Sdm.Deployment.t -> primary:int -> n:int -> int list
 (** Deterministic attachment routers for [n] controller replicas:
@@ -52,13 +52,8 @@ val entity_bytes : Sdm.Controller.t -> Mbox.Entity.t -> int
     also what {!Pktsim}'s live control plane charges per config-push
     message. *)
 
-val price :
-  ?controller_router:int ->
-  ?link_delay:float ->
-  Sdm.Controller.t ->
-  traffic:Sdm.Measurement.t ->
-  report
-(** [controller_router] defaults to the first gateway, falling back to
-    the first core router. *)
+val price : Sdm.Controller.t -> traffic:Sdm.Measurement.t -> report
+(** The cost of configuring every device from {!default_router}, one
+    time unit per hop. *)
 
 val pp_report : Format.formatter -> report -> unit

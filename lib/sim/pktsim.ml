@@ -6,13 +6,8 @@
 type live_config = {
   epoch_interval : float;
   reconcile_interval : float;
-  push_backoff : float;
-  push_backoff_cap : float;
-  push_max_retries : int;
-  controller_router : int option;
   replicas : int;
   quorum : Quorum.family;
-  replica_routers : int list option;
   sweep_period : float option;
       (* anti-entropy digest sweep over every device's soft state;
          [None] disables it (and keeps the run bit-identical to a
@@ -28,33 +23,31 @@ let default_live =
   {
     epoch_interval = 25.0;
     reconcile_interval = 5.0;
-    push_backoff = 2.0;
-    (* High enough that the default six-retry ladder (2,4,...,64) is
-       never clipped: the cap only bites configs that raise the retry
-       budget or the base. *)
-    push_backoff_cap = 120.0;
-    push_max_retries = 6;
-    controller_router = None;
     replicas = 1;
     quorum = Quorum.Majority;
-    replica_routers = None;
     sweep_period = None;
     warm_start = false;
   }
 
-(* The retry ladder every control-plane chain (config push, proposal,
-   commit notice) climbs: exponential from [push_backoff], clipped at
-   [push_backoff_cap]. *)
-let push_backoff_delay (l : live_config) ~attempt =
-  Float.min (l.push_backoff *. (2.0 ** float_of_int attempt)) l.push_backoff_cap
+(* Fixed parameters.  The leader's retry ladder runs 2, 4, ..., 64:
+   the cap of 120 never clips its six rungs.  Label control keeps its
+   own fixed retransmission timer. *)
+let link_delay = 0.1
+let mtu = 1500
+let cache_timeout = 1e9
+let push_backoff = 2.0
+let push_backoff_cap = 120.0
+let push_max_retries = 6
+let ctrl_retry_timeout = 5.0
+let ctrl_max_retries = 3
+
+let push_backoff_delay ~attempt =
+  Float.min (push_backoff *. (2.0 ** float_of_int attempt)) push_backoff_cap
 
 type config = {
   label_switching : bool;
-  mtu : int;
-  link_delay : float;
   packet_interval : float;
   start_window : float;
-  cache_timeout : float;
   seed : int;
   service_rate : float;
   label_timeout : float;
@@ -64,8 +57,6 @@ type config = {
   faults : Fault.Schedule.t option;
   detection_delay : float;
   failover : bool;
-  ctrl_retry_timeout : float;
-  ctrl_max_retries : int;
   live : live_config option;
   audit : bool;
   debug_bypass_chain : int option;
@@ -75,11 +66,8 @@ type config = {
 let default_config =
   {
     label_switching = true;
-    mtu = 1500;
-    link_delay = 0.1;
     packet_interval = 1.0;
     start_window = 50.0;
-    cache_timeout = 1e9;
     seed = 99;
     service_rate = infinity;
     label_timeout = infinity;
@@ -89,8 +77,6 @@ let default_config =
     faults = None;
     detection_delay = 10.0;
     failover = true;
-    ctrl_retry_timeout = 5.0;
-    ctrl_max_retries = 3;
     live = None;
     audit = false;
     debug_bypass_chain = None;
@@ -281,7 +267,6 @@ type fault_state = {
    installed}: that is the invariant Verify.check_mixed certifies. *)
 type live_state = {
   lcfg : live_config;
-  ctrl_router : int;
   mutable configs : Sdm.Controller.t array;
   mutable latest : int;
   device_version : int array; (* installed at the device *)
@@ -290,7 +275,7 @@ type live_state = {
   mutable horizon : float;    (* time of the last scheduled injection *)
   mutable reconcile_rounds : int;
   (* Controller replication.  Replica [i] sits at [replica_router.(i)]
-     (replica 0 at [ctrl_router]); the leader is the lowest-id live
+     (replica 0 at the default controller router); the leader is the lowest-id live
      replica and the only one that proposes, commits, and pushes.  A
      candidate configuration parks in [pending] while its quorum round
      is in flight and reaches [configs] only through a commit — the
@@ -640,7 +625,7 @@ let msg_dst = function
 let note_fragments w = function
   | Data (pkt, _, aid) ->
     let extra =
-      Netpkt.Fragment.count ~mtu:w.cfg.mtu (Netpkt.Packet.size pkt) - 1
+      Netpkt.Fragment.count ~mtu (Netpkt.Packet.size pkt) - 1
     in
     w.counters.fragments <- w.counters.fragments + extra;
     if extra > 0 then
@@ -704,7 +689,7 @@ let rec send w ~from_router msg =
         end
         else
           ignore
-            (Dess.Engine.schedule_at w.engine ~time:(time +. w.cfg.link_delay)
+            (Dess.Engine.schedule_at w.engine ~time:(time +. link_delay)
                (fun _ -> deliver w endpoint msg))
       end
       else
@@ -719,7 +704,7 @@ let rec send w ~from_router msg =
           end
           else begin
             w.counters.hops <- w.counters.hops + 1;
-            walk hop (time +. w.cfg.link_delay)
+            walk hop (time +. link_delay)
           end
     in
     walk from_router (Dess.Engine.now w.engine)
@@ -754,7 +739,7 @@ and next_hop_for w ~router ~target_router msg =
    receivers are idempotent, so suppressing the redundant duplicates a
    real timer would generate is observationally equivalent. *)
 and send_control w ~from_router ~sender msg =
-  control_attempt w ~from_router ~sender ~retries_left:w.cfg.ctrl_max_retries
+  control_attempt w ~from_router ~sender ~retries_left:ctrl_max_retries
     msg
 
 and control_attempt w ~from_router ~sender ~retries_left msg =
@@ -767,7 +752,7 @@ and control_attempt w ~from_router ~sender ~retries_left msg =
       w.counters.retries <- w.counters.retries + 1;
       w.entity_ctrl_retries.(sender) <- w.entity_ctrl_retries.(sender) + 1;
       ignore
-        (Dess.Engine.schedule w.engine ~delay:w.cfg.ctrl_retry_timeout (fun _ ->
+        (Dess.Engine.schedule w.engine ~delay:ctrl_retry_timeout (fun _ ->
              control_attempt w ~from_router ~sender
                ~retries_left:(retries_left - 1) msg))
     end
@@ -1369,7 +1354,7 @@ let apply_fault w f what =
        destruction, which the registry must record or the Repair
        invariant would demand fixing state that no longer exists. *)
     w.mbox_caches.(id) <-
-      Policy.Flow_cache.create ~timeout:w.cfg.cache_timeout
+      Policy.Flow_cache.create ~timeout:cache_timeout
         ?capacity:w.cfg.cache_capacity ();
     w.mbox_labels.(id) <-
       Mbox.Label_table.create ~timeout:w.cfg.label_timeout ();
@@ -1444,7 +1429,7 @@ let apply_fault w f what =
 
 (* ---- Live control plane ----------------------------------------- *)
 
-(* Hop count from the controller's attachment router to a device,
+(* Hop count from the leader's attachment router to a peer,
    walking the *current* routing tables (so a partition shows up as
    None, and a reconverged detour is priced at its real length).
    Control traffic rides shortest paths even under ECMP — per-packet
@@ -1463,6 +1448,80 @@ let route_hops w ~from ~target =
     in
     go from 0
   end
+
+(* The far end of a leader exchange: a device (flat index) or a
+   controller replica. *)
+type peer = Device of int | Replica of int
+
+let peer_router w ls = function
+  | Device dev -> Sdm.Deployment.entity_router w.dep (dev_entity w dev)
+  | Replica i -> ls.replica_router.(i)
+
+let peer_down w ls = function
+  | Device dev -> (
+    match dev_entity w dev with
+    | Mbox.Entity.Middlebox id -> mbox_is_down w id
+    | Mbox.Entity.Proxy _ -> false)
+  | Replica i -> not ls.replica_up.(i)
+
+(* Per-device control accounting; replicas have none. *)
+let charge per_device = function
+  | Device dev -> per_device.(dev) <- per_device.(dev) + 1
+  | Replica _ -> ()
+
+(* The leader-to-peer exchange every live-control-plane protocol rides
+   (config push, sweep visit, proposal, commit notice): the channel
+   model, written once.  The message leaves the leader's attachment
+   router along the current routing tables; no route is a partition,
+   which no retry timer helps until routing heals.  Otherwise the
+   message needs [(h + 1) * link_delay] for h router hops plus the
+   last hop to the peer, and is lost to one control-loss draw or to a
+   peer that is down.  A delivered message [arrive]s one way later; a
+   protocol with a [reply] leg then draws once more for the answer,
+   which reaches the leader after the round trip.  A lost leg runs
+   [again] one rung up the capped-backoff ladder, and [exhausted] once
+   [push_max_retries] are spent.  As with label control, the
+   retransmission timer is modelled as firing only when a leg was
+   actually lost: receivers are idempotent, so suppressing the
+   duplicates a real timer would also send is observationally
+   equivalent.  Device peers charge their losses and retries to the
+   per-device counters; the protocol counts the rest in [sent] (per
+   leg) and [lost]. *)
+let exchange w ls peer ~attempt ~again ~sent ~lost ~partitioned ~exhausted
+    ~arrive ~reply =
+  let target = peer_router w ls peer in
+  match route_hops w ~from:ls.replica_router.(ls.leader) ~target with
+  | None -> partitioned w.counters
+  | Some h ->
+    sent w.counters `Out;
+    let one_way = float_of_int (h + 1) *. link_delay in
+    let retry () =
+      if attempt < push_max_retries then begin
+        charge w.entity_ctrl_retries peer;
+        ignore
+          (Dess.Engine.schedule w.engine ~delay:(push_backoff_delay ~attempt)
+             (fun _ -> again (attempt + 1)))
+      end
+      else exhausted ()
+    in
+    let drop () =
+      lost w.counters;
+      charge w.entity_ctrl_lost peer;
+      retry ()
+    in
+    if control_loss_draw w || peer_down w ls peer then drop ()
+    else begin
+      ignore (Dess.Engine.schedule w.engine ~delay:one_way (fun _ -> arrive ()));
+      match reply with
+      | None -> ()
+      | Some answer ->
+        sent w.counters `Back;
+        if control_loss_draw w then drop ()
+        else
+          ignore
+            (Dess.Engine.schedule w.engine ~delay:(2.0 *. one_way) (fun _ ->
+                 answer retry))
+    end
 
 (* A device installs a configuration version: monotone, idempotent
    (duplicate deliveries from retried pushes are harmless).  The
@@ -1506,74 +1565,41 @@ let install_config w ls ~dev ~version =
     | None -> ()
   end
 
-(* Push one version to one device: per-device ack/retry with
-   exponential backoff over the lossy control channel.  Like the label
-   control machinery, the retransmission timer is modelled as firing
-   only when a transmission (config or ack leg) was actually lost —
-   receivers are idempotent, so suppressing the redundant duplicates a
-   real timer would also generate is observationally equivalent.  A
+(* A device kept its last-known-good configuration, or a candidate was
+   dropped: partition, LP failure, verification veto or a dead round. *)
+let degrade c = c.cfg_degraded <- c.cfg_degraded + 1
+
+(* Push one version to one device, acknowledged over the reply leg.  A
    chain whose version has been superseded, or whose device has
-   meanwhile acked, dies silently; the reconciliation loop is the
-   backstop once retries are exhausted. *)
+   meanwhile acked, dies silently; a partition degrades the device to
+   its last-known-good configuration, and the reconciliation loop is
+   the backstop once retries are exhausted. *)
 let rec push_config w ls ~dev ~version ~attempt =
   if
     version = ls.latest
     && ls.device_acked.(dev) < version
     && ls.replica_up.(ls.leader)
-  then begin
-    let entity = dev_entity w dev in
-    let target = Sdm.Deployment.entity_router w.dep entity in
-    match route_hops w ~from:ls.replica_router.(ls.leader) ~target with
-    | None ->
-      (* The controller is partitioned from the device: no retry timer
-         helps until routing heals.  The device keeps its last-known-
-         good configuration; reconciliation re-pushes later. *)
-      w.counters.cfg_degraded <- w.counters.cfg_degraded + 1
-    | Some h ->
-      w.counters.cfg_pushes <- w.counters.cfg_pushes + 1;
-      w.counters.cfg_bytes <-
-        w.counters.cfg_bytes
-        + Controlplane.entity_bytes ls.configs.(version) entity;
-      let one_way = float_of_int (h + 1) *. w.cfg.link_delay in
-      let retry () =
-        if attempt < ls.lcfg.push_max_retries then begin
-          w.entity_ctrl_retries.(dev) <- w.entity_ctrl_retries.(dev) + 1;
-          let delay = push_backoff_delay ls.lcfg ~attempt in
-          ignore
-            (Dess.Engine.schedule w.engine ~delay (fun _ ->
-                 push_config w ls ~dev ~version ~attempt:(attempt + 1)))
-        end
-      in
-      let fwd_lost = control_loss_draw w in
-      let target_down =
-        match entity with
-        | Mbox.Entity.Middlebox id -> mbox_is_down w id
-        | Mbox.Entity.Proxy _ -> false
-      in
-      if fwd_lost || target_down then begin
-        w.counters.cfg_lost <- w.counters.cfg_lost + 1;
-        w.entity_ctrl_lost.(dev) <- w.entity_ctrl_lost.(dev) + 1;
-        retry ()
-      end
-      else begin
-        ignore
-          (Dess.Engine.schedule w.engine ~delay:one_way (fun _ ->
-               install_config w ls ~dev ~version));
-        let ack_lost = control_loss_draw w in
-        if ack_lost then begin
-          w.counters.cfg_lost <- w.counters.cfg_lost + 1;
-          w.entity_ctrl_lost.(dev) <- w.entity_ctrl_lost.(dev) + 1;
-          retry ()
-        end
-        else
-          ignore
-            (Dess.Engine.schedule w.engine ~delay:(2.0 *. one_way) (fun _ ->
-                 if version > ls.device_acked.(dev) then begin
-                   ls.device_acked.(dev) <- version;
-                   w.counters.cfg_acks <- w.counters.cfg_acks + 1
-                 end))
-      end
-  end
+  then
+    exchange w ls (Device dev) ~attempt
+      ~again:(fun attempt -> push_config w ls ~dev ~version ~attempt)
+      ~sent:(fun c -> function
+        | `Out ->
+          c.cfg_pushes <- c.cfg_pushes + 1;
+          c.cfg_bytes <-
+            c.cfg_bytes
+            + Controlplane.entity_bytes ls.configs.(version) (dev_entity w dev)
+        | `Back -> ())
+      ~lost:(fun c -> c.cfg_lost <- c.cfg_lost + 1)
+      ~partitioned:degrade
+      ~exhausted:ignore
+      ~arrive:(fun () -> install_config w ls ~dev ~version)
+      ~reply:
+        (Some
+           (fun _ ->
+             if version > ls.device_acked.(dev) then begin
+               ls.device_acked.(dev) <- version;
+               w.counters.cfg_acks <- w.counters.cfg_acks + 1
+             end))
 
 (* ---- Anti-entropy sweep ------------------------------------------ *)
 
@@ -1667,60 +1693,26 @@ let sweep_reply w ls ~dev =
     push_config w ls ~dev ~version:ls.latest ~attempt:0
   end
 
-(* Visit one device: query and report ride the same lossy control
-   channel as config pushes, with the same capped-backoff retry
-   ladder.  The query reaching the device is what triggers the local
-   scrub; losing only the report costs the version check, not the
-   repair of soft state. *)
+(* Visit one device: the digest query reaching the device is what
+   triggers the local scrub; losing only the report costs the version
+   check, not the repair of soft state.  A partitioned device waits for
+   the next round. *)
 let rec sweep_device w ls ~dev ~attempt =
-  if ls.replica_up.(ls.leader) then begin
-    let entity = dev_entity w dev in
-    let target = Sdm.Deployment.entity_router w.dep entity in
-    match route_hops w ~from:ls.replica_router.(ls.leader) ~target with
-    | None ->
-      (* Partitioned: no retry timer helps until routing heals; the
-         next round revisits. *)
-      w.counters.cfg_degraded <- w.counters.cfg_degraded + 1
-    | Some h ->
-      let one_way = float_of_int (h + 1) *. w.cfg.link_delay in
-      let retry () =
-        if attempt < ls.lcfg.push_max_retries then begin
-          w.entity_ctrl_retries.(dev) <- w.entity_ctrl_retries.(dev) + 1;
-          ignore
-            (Dess.Engine.schedule w.engine
-               ~delay:(push_backoff_delay ls.lcfg ~attempt) (fun _ ->
-                 sweep_device w ls ~dev ~attempt:(attempt + 1)))
-        end
-      in
-      w.counters.sweep_msgs <- w.counters.sweep_msgs + 1;
-      w.counters.sweep_bytes <- w.counters.sweep_bytes + sweep_query_bytes;
-      let target_down =
-        match entity with
-        | Mbox.Entity.Middlebox id -> mbox_is_down w id
-        | Mbox.Entity.Proxy _ -> false
-      in
-      if control_loss_draw w || target_down then begin
-        w.counters.sweep_lost <- w.counters.sweep_lost + 1;
-        w.entity_ctrl_lost.(dev) <- w.entity_ctrl_lost.(dev) + 1;
-        retry ()
-      end
-      else begin
-        ignore
-          (Dess.Engine.schedule w.engine ~delay:one_way (fun _ ->
-               sweep_check w ~dev));
-        w.counters.sweep_msgs <- w.counters.sweep_msgs + 1;
-        w.counters.sweep_bytes <- w.counters.sweep_bytes + sweep_reply_bytes;
-        if control_loss_draw w then begin
-          w.counters.sweep_lost <- w.counters.sweep_lost + 1;
-          w.entity_ctrl_lost.(dev) <- w.entity_ctrl_lost.(dev) + 1;
-          retry ()
-        end
-        else
-          ignore
-            (Dess.Engine.schedule w.engine ~delay:(2.0 *. one_way) (fun _ ->
-                 sweep_reply w ls ~dev))
-      end
-  end
+  if ls.replica_up.(ls.leader) then
+    exchange w ls (Device dev) ~attempt
+      ~again:(fun attempt -> sweep_device w ls ~dev ~attempt)
+      ~sent:(fun c leg ->
+        c.sweep_msgs <- c.sweep_msgs + 1;
+        c.sweep_bytes <-
+          c.sweep_bytes
+          + (match leg with
+            | `Out -> sweep_query_bytes
+            | `Back -> sweep_reply_bytes))
+      ~lost:(fun c -> c.sweep_lost <- c.sweep_lost + 1)
+      ~partitioned:degrade
+      ~exhausted:ignore
+      ~arrive:(fun () -> sweep_check w ~dev)
+      ~reply:(Some (fun _ -> sweep_reply w ls ~dev))
 
 (* One anti-entropy round: visit every device, then re-arm.  The loop
    keeps ticking through the traffic window and until every registered
@@ -1751,6 +1743,11 @@ let rec sweep_round w ls ~period =
 
 let quorum_n ls = Array.length ls.replica_up
 
+(* Quorum traffic on the control channel: every proposal, vote and
+   commit notice, retries included, and those lost. *)
+let quorum_sent c _ = c.q_msgs <- c.q_msgs + 1
+let quorum_lost c = c.q_lost <- c.q_lost + 1
+
 (* Publish a committed configuration: append it to the staged window,
    bump the shared version, emit the audit events, and push to every
    device from the leader's router.  Only [maybe_commit] calls this —
@@ -1770,59 +1767,34 @@ let publish_committed w ls next =
     push_config w ls ~dev ~version:ls.latest ~attempt:0
   done
 
-(* Spread a commit to one standby replica over the same lossy control
-   channel the config pushes ride, with the same capped-backoff retry
-   ladder.  [Acceptor.commit] is idempotent, so duplicates from retries
-   are harmless; a partitioned or crashed standby simply stays at its
-   last-known-good commit until the reconciliation of a later round
-   reaches it. *)
+(* Spread a commit to one standby replica; no reply leg.
+   [Acceptor.commit] is idempotent, so duplicates from retries are
+   harmless; a partitioned or crashed standby simply stays at its
+   last-known-good commit until a later round reaches it. *)
 let rec commit_notice w ls ~replica ~version ~digest ~attempt =
   if
     ls.replica_up.(ls.leader)
     && Quorum.Acceptor.committed ls.acceptors.(replica) < version
-  then begin
-    match
-      route_hops w ~from:ls.replica_router.(ls.leader)
-        ~target:ls.replica_router.(replica)
-    with
-    | None -> () (* partitioned: no retry timer helps until routing heals *)
-    | Some h ->
-      w.counters.q_msgs <- w.counters.q_msgs + 1;
-      let one_way = float_of_int (h + 1) *. w.cfg.link_delay in
-      let retry () =
-        if attempt < ls.lcfg.push_max_retries then
-          ignore
-            (Dess.Engine.schedule w.engine
-               ~delay:(push_backoff_delay ls.lcfg ~attempt) (fun _ ->
-                 commit_notice w ls ~replica ~version ~digest
-                   ~attempt:(attempt + 1)))
-      in
-      if control_loss_draw w || not ls.replica_up.(replica) then begin
-        w.counters.q_lost <- w.counters.q_lost + 1;
-        retry ()
-      end
-      else
-        ignore
-          (Dess.Engine.schedule w.engine ~delay:one_way (fun _ ->
-               if
-                 ls.replica_up.(replica)
-                 && Quorum.Acceptor.committed ls.acceptors.(replica) < version
-               then
-                 match
-                   Quorum.Acceptor.commit ls.acceptors.(replica) ~version
-                     ~digest
-                 with
-                 | Ok () ->
-                   audit_emit w (fun () ->
-                       Audit.Event.Quorum_commit
-                         {
-                           time = Dess.Engine.now w.engine;
-                           version;
-                           replica;
-                           digest;
-                         })
-                 | Error _ -> ()))
-  end
+  then
+    exchange w ls (Replica replica) ~attempt
+      ~again:(fun attempt ->
+        commit_notice w ls ~replica ~version ~digest ~attempt)
+      ~sent:quorum_sent ~lost:quorum_lost ~partitioned:ignore
+      ~exhausted:ignore
+      ~arrive:(fun () ->
+        if
+          ls.replica_up.(replica)
+          && Quorum.Acceptor.committed ls.acceptors.(replica) < version
+        then
+          match
+            Quorum.Acceptor.commit ls.acceptors.(replica) ~version ~digest
+          with
+          | Ok () ->
+            audit_emit w (fun () ->
+                Audit.Event.Quorum_commit
+                  { time = Dess.Engine.now w.engine; version; replica; digest })
+          | Error _ -> ())
+      ~reply:None
 
 (* Commit as soon as the votes form a quorum: the leader commits its
    own acceptor, publishes the pending candidate, and spreads the
@@ -1860,98 +1832,56 @@ let abandon_if_dead w ls r =
   then begin
     Quorum.Round.mark_abandoned r;
     w.counters.q_aborts <- w.counters.q_aborts + 1;
-    w.counters.cfg_degraded <- w.counters.cfg_degraded + 1;
+    degrade w.counters;
     ls.pending <- None
   end
 
-(* Propose the round's candidate to one standby acceptor: proposal out,
-   vote back, both legs over the lossy control channel with the capped
-   retry ladder (mirrors [push_config]'s fwd/ack structure).  A refusal
-   or exhausted retries loses this acceptor's vote for the round; a
-   partition loses it immediately. *)
+(* Propose the round's candidate to one standby acceptor; its vote
+   rides the reply leg.  A refusal, a partition or exhausted retries
+   lose this acceptor's vote for the round. *)
 let rec propose_to w ls r ~replica ~attempt =
   if Quorum.Round.outcome r = Quorum.Round.Pending && ls.replica_up.(ls.leader)
   then begin
     let version = Quorum.Round.version r in
     let digest = Quorum.Round.digest r in
-    let retry () =
-      if attempt < ls.lcfg.push_max_retries then
-        ignore
-          (Dess.Engine.schedule w.engine
-             ~delay:(push_backoff_delay ls.lcfg ~attempt) (fun _ ->
-               propose_to w ls r ~replica ~attempt:(attempt + 1)))
-      else begin
-        Quorum.Round.fail r ~acceptor:replica;
-        abandon_if_dead w ls r
-      end
-    in
-    match
-      route_hops w ~from:ls.replica_router.(ls.leader)
-        ~target:ls.replica_router.(replica)
-    with
-    | None ->
-      (* Partitioned from this acceptor: its vote is lost to the round
-         (no retry timer helps until routing heals, and the round will
-         long be superseded by then). *)
+    let no_vote _ =
       Quorum.Round.fail r ~acceptor:replica;
       abandon_if_dead w ls r
-    | Some h ->
-      w.counters.q_msgs <- w.counters.q_msgs + 1;
-      let one_way = float_of_int (h + 1) *. w.cfg.link_delay in
-      let fwd_lost = control_loss_draw w in
-      if fwd_lost || not ls.replica_up.(replica) then begin
-        w.counters.q_lost <- w.counters.q_lost + 1;
-        retry ()
-      end
-      else begin
-        (* The proposal arrives after one_way; the acceptor's verdict
-           rides back over the same lossy channel. *)
-        let verdict = ref None in
-        ignore
-          (Dess.Engine.schedule w.engine ~delay:one_way (fun _ ->
-               if ls.replica_up.(replica) then begin
-                 let v =
-                   Quorum.Acceptor.receive ls.acceptors.(replica) ~version
-                     ~digest
-                 in
-                 (match v with
-                 | Quorum.Acceptor.Accept ->
-                   audit_emit w (fun () ->
-                       Audit.Event.Quorum_accept
-                         {
-                           time = Dess.Engine.now w.engine;
-                           version;
-                           replica;
-                           digest;
-                         })
-                 | Repeat | Stale | Conflict -> ());
-                 verdict := Some v
-               end));
-        w.counters.q_msgs <- w.counters.q_msgs + 1;
-        let vote_lost = control_loss_draw w in
-        if vote_lost then begin
-          w.counters.q_lost <- w.counters.q_lost + 1;
-          (* The leader re-sends the whole proposal; acceptance is
-             idempotent, so the duplicate is harmless. *)
-          retry ()
-        end
-        else
-          ignore
-            (Dess.Engine.schedule w.engine ~delay:(2.0 *. one_way) (fun _ ->
-                 match !verdict with
-                 | Some (Quorum.Acceptor.Accept | Quorum.Acceptor.Repeat)
-                   when Quorum.Round.outcome r = Quorum.Round.Pending ->
-                   Quorum.Round.accept r ~acceptor:replica;
-                   maybe_commit w ls r
-                 | Some (Quorum.Acceptor.Stale | Quorum.Acceptor.Conflict) ->
-                   Quorum.Round.fail r ~acceptor:replica;
-                   abandon_if_dead w ls r
-                 | None ->
-                   (* the replica crashed while the proposal was in
-                      flight — no vote will come; keep retrying *)
-                   retry ()
-                 | Some _ -> ()))
-      end
+    in
+    let verdict = ref None in
+    exchange w ls (Replica replica) ~attempt
+      ~again:(fun attempt -> propose_to w ls r ~replica ~attempt)
+      ~sent:quorum_sent ~lost:quorum_lost ~partitioned:no_vote
+      ~exhausted:no_vote
+      ~arrive:(fun () ->
+        if ls.replica_up.(replica) then begin
+          let v =
+            Quorum.Acceptor.receive ls.acceptors.(replica) ~version ~digest
+          in
+          (match v with
+          | Quorum.Acceptor.Accept ->
+            audit_emit w (fun () ->
+                Audit.Event.Quorum_accept
+                  { time = Dess.Engine.now w.engine; version; replica; digest })
+          | Repeat | Stale | Conflict -> ());
+          verdict := Some v
+        end)
+      ~reply:
+        (Some
+           (fun retry ->
+             match !verdict with
+             | Some (Quorum.Acceptor.Accept | Quorum.Acceptor.Repeat)
+               when Quorum.Round.outcome r = Quorum.Round.Pending ->
+               Quorum.Round.accept r ~acceptor:replica;
+               maybe_commit w ls r
+             | Some (Quorum.Acceptor.Stale | Quorum.Acceptor.Conflict) ->
+               no_vote ()
+             | None ->
+               (* the replica crashed while the proposal was in flight:
+                  no vote will come, so the leader re-sends (acceptance
+                  is idempotent) *)
+               retry ()
+             | Some _ -> ()))
   end
 
 (* Re-optimize from what the run has measured: rebuild candidate sets
@@ -1976,7 +1906,7 @@ let reoptimize w ls =
       Sdm.Controller.reoptimize current ~failed
         ~use_warm:ls.lcfg.warm_start ~traffic:ls.meas ()
     with
-    | Error _ -> w.counters.cfg_degraded <- w.counters.cfg_degraded + 1
+    | Error _ -> degrade w.counters
     | Ok next -> (
       (* Solver-work accounting happens whether or not verification or
          the quorum later vetoes the plan — the pivots were spent. *)
@@ -1996,7 +1926,7 @@ let reoptimize w ls =
         | Error _ as e -> e
         | Ok () -> Sdm.Verify.check_window [ current; next ]
       with
-      | Error _ -> w.counters.cfg_degraded <- w.counters.cfg_degraded + 1
+      | Error _ -> degrade w.counters
       | Ok () ->
         (* A fresher candidate supersedes any round still in flight. *)
         (match ls.round with
@@ -2111,37 +2041,20 @@ let run ?(config = default_config) ~controller ~workload () =
   | None -> ()
   | Some l ->
     (* NaN-safe: [finite_pos] rejects non-finite intervals outright
-       ([<= 0.0] would let a NaN through).  The cap may be [infinity]
-       (an uncapped ladder) but never NaN or below the base. *)
+       ([<= 0.0] would let a NaN through). *)
     let finite_pos x = Float.is_finite x && x > 0.0 in
     if
       (not (finite_pos l.epoch_interval))
       || (not (finite_pos l.reconcile_interval))
-      || (not (finite_pos l.push_backoff))
-      || Float.is_nan l.push_backoff_cap
-      || l.push_backoff_cap < l.push_backoff
-      || l.push_max_retries < 0
       || (match l.sweep_period with
          | Some p -> not (finite_pos p)
          | None -> false)
     then invalid_arg "Pktsim.run: invalid live-control-plane config";
     if l.replicas < 1 then
       invalid_arg "Pktsim.run: replicas must be >= 1";
-    (match Quorum.validate l.quorum ~n:l.replicas with
+    match Quorum.validate l.quorum ~n:l.replicas with
     | Ok () -> ()
     | Error e -> invalid_arg ("Pktsim.run: invalid quorum family: " ^ e));
-    match l.replica_routers with
-    | None -> ()
-    | Some rs ->
-      let n_routers =
-        Netgraph.Graph.node_count
-          dep.Sdm.Deployment.topo.Netgraph.Topology.graph
-      in
-      if
-        List.length rs <> l.replicas
-        || List.exists (fun r -> r < 0 || r >= n_routers) rs
-        || List.length (List.sort_uniq compare rs) <> l.replicas
-      then invalid_arg "Pktsim.run: invalid replica routers");
   if config.shards < 1 then invalid_arg "Pktsim.run: shards must be >= 1";
   let engine = Dess.Engine.create () in
   let n_flows = Array.length workload.Workload.flows in
@@ -2304,13 +2217,13 @@ let run ?(config = default_config) ~controller ~workload () =
       loads = Array.make n_mboxes 0.0;
       proxy_caches =
         Array.init n_proxies (fun _ ->
-            Policy.Flow_cache.create ~timeout:config.cache_timeout
+            Policy.Flow_cache.create ~timeout:cache_timeout
               ?capacity:config.cache_capacity ~expected:proxy_flow_hint ());
       proxy_match = setup_init n_proxies (fun i -> entity_table (Mbox.Entity.Proxy i));
       mutable_label = Array.make n_proxies 0;
       mbox_caches =
         Array.init n_mboxes (fun _ ->
-            Policy.Flow_cache.create ~timeout:config.cache_timeout
+            Policy.Flow_cache.create ~timeout:cache_timeout
               ?capacity:config.cache_capacity ~expected:mbox_flow_hint ());
       mbox_match =
         setup_init n_mboxes (fun i -> entity_table (Mbox.Entity.Middlebox i));
@@ -2330,15 +2243,9 @@ let run ?(config = default_config) ~controller ~workload () =
         (match config.live with
         | None -> None
         | Some lcfg ->
-          let primary =
-            match lcfg.controller_router with
-            | Some r -> r
-            | None -> Controlplane.default_router dep
-          in
           Some
             {
               lcfg;
-              ctrl_router = primary;
               configs = [| controller |];
               latest = 0;
               device_version = Array.make (n_proxies + n_mboxes) 0;
@@ -2348,14 +2255,10 @@ let run ?(config = default_config) ~controller ~workload () =
               reconcile_rounds = 0;
               leader = 0;
               replica_router =
-                (match lcfg.replica_routers with
-                | Some rs -> Array.of_list rs
-                | None ->
-                  if lcfg.replicas = 1 then [| primary |]
-                  else
-                    Array.of_list
-                      (Controlplane.replica_routers dep ~primary
-                         ~n:lcfg.replicas));
+                Array.of_list
+                  (Controlplane.replica_routers dep
+                     ~primary:(Controlplane.default_router dep)
+                     ~n:lcfg.replicas);
               replica_up = Array.make lcfg.replicas true;
               acceptors =
                 Array.init lcfg.replicas (fun _ -> Quorum.Acceptor.create ());

@@ -50,49 +50,38 @@
     stranding.
 
     Replication ([replicas > 1]): the controller becomes [replicas]
-    replicas at distinct attachment routers (replica 0 at
-    [controller_router]); the lowest-id live replica leads.  Every
-    candidate configuration runs a two-phase {!Quorum} round over the
-    same lossy control channel — propose out, votes back, each leg
-    with the capped-backoff retry ladder — and is published only once
-    a quorum accepted it.  A leader crash triggers a deterministic
-    re-election one detection delay later; a minority-side partition
-    abandons its round and degrades to last-known-good without ever
-    publishing.  [replicas = 1] (the default) commits synchronously
-    with zero quorum traffic and is bit-identical to the
-    pre-replication control plane. *)
+    replicas at distinct attachment routers
+    ({!Controlplane.replica_routers} from
+    {!Controlplane.default_router}); the lowest-id live replica leads.
+    Every candidate configuration runs a two-phase {!Quorum} round over
+    the same lossy control channel — propose out, votes back — and is
+    published only once a quorum accepted it.  A leader crash triggers
+    a deterministic re-election one detection delay later; a
+    minority-side partition abandons its round and degrades to
+    last-known-good without ever publishing.  [replicas = 1] (the
+    default) commits synchronously with zero quorum traffic and is
+    bit-identical to the pre-replication control plane.
+
+    The control channel.  Config pushes, sweep visits, proposals and
+    commit notices all travel from the leader's attachment router to
+    the peer along the current routing tables, taking
+    [(h + 1) * link_delay] for [h] router hops; no route is a
+    partition.  Each leg (the message out, and for pushes, sweeps and
+    proposals the reply back) is lost to one control-loss draw, the
+    outbound leg also to a peer that is down.  A lost leg retries after
+    {!push_backoff_delay}, at most {!push_max_retries} times. *)
 type live_config = {
   epoch_interval : float;
       (** period of measurement-driven re-optimizations (default 25.0);
           epochs are scheduled across the traffic window *)
   reconcile_interval : float;
       (** period of the re-push loop for stale devices (default 5.0) *)
-  push_backoff : float;
-      (** initial retry delay of a config push; doubles per attempt
-          (default 2.0) *)
-  push_backoff_cap : float;
-      (** ceiling on the exponential retry delay, shared by every
-          control-plane chain (pushes, proposals, commit notices).
-          Must be at least [push_backoff]; [infinity] leaves the
-          ladder uncapped.  Default 120.0 — above the last rung of the
-          default ladder, so defaults never clip. *)
-  push_max_retries : int;
-      (** retries per push chain before the reconciliation loop
-          becomes the backstop (default 6) *)
-  controller_router : int option;
-      (** attachment router; default first gateway, else first core
-          (same convention as {!Controlplane.price}) *)
   replicas : int;
       (** controller replicas (default 1 = the unreplicated control
           plane) *)
   quorum : Quorum.family;
       (** what counts as a quorum of the replicas (default
           {!Quorum.Majority}) *)
-  replica_routers : int list option;
-      (** attachment router per replica; default
-          {!Controlplane.replica_routers} placement from the
-          controller's router.  Must list [replicas] distinct
-          routers. *)
   sweep_period : float option;
       (** anti-entropy period: every [p] time units the live leader
           digest-audits each device's soft state over the lossy
@@ -118,17 +107,46 @@ type live_config = {
 
 val default_live : live_config
 
-val push_backoff_delay : live_config -> attempt:int -> float
-(** The retry ladder every control-plane chain climbs:
+(** {2 Fixed parameters}
+
+    The simulator's constants; every experiment runs with these. *)
+
+val link_delay : float
+(** Per-hop propagation delay of data and control packets: 0.1. *)
+
+val mtu : int
+(** Link MTU for the fragmentation statistic: 1500 bytes. *)
+
+val cache_timeout : float
+(** Flow-cache soft-state timeout: 1e9, i.e. never within a run. *)
+
+val push_backoff : float
+(** First rung of the leader's retry ladder: 2.0. *)
+
+val push_backoff_cap : float
+(** Ceiling of the retry ladder: 120.0, above its last rung (64), so
+    it never clips. *)
+
+val push_max_retries : int
+(** Retries per leader exchange before the reconciliation loop, the
+    next sweep round or the next quorum round becomes the backstop: 6. *)
+
+val push_backoff_delay : attempt:int -> float
+(** The retry ladder every leader exchange climbs:
     [min (push_backoff * 2^attempt) push_backoff_cap]. *)
+
+val ctrl_retry_timeout : float
+(** Fixed retransmission timer of label-establishment and teardown
+    control packets lost to control loss: 5.0. *)
+
+val ctrl_max_retries : int
+(** Retransmissions of a label control packet after the first attempt
+    before the sender gives up (receivers are idempotent): 3. *)
 
 type config = {
   label_switching : bool; (** default true *)
-  mtu : int;              (** default 1500 *)
-  link_delay : float;     (** per hop, default 0.1 *)
   packet_interval : float;(** spacing within a flow, default 1.0 *)
   start_window : float;   (** flow start times uniform in [0, w), default 50. *)
-  cache_timeout : float;  (** flow-cache soft-state timeout, default 1e9 *)
   seed : int;             (** start-time jitter seed, default 99 *)
   service_rate : float;
       (** middlebox processing capacity in packets per time unit;
@@ -178,12 +196,6 @@ type config = {
       (** when false, entities ignore the failure detector and keep
           using the static configuration — the "no failover" baseline
           of ABL-CHAOS.  Default true. *)
-  ctrl_retry_timeout : float;
-      (** retransmission timer for label-establishment / teardown
-          control packets lost to [control_loss].  Default 5.0. *)
-  ctrl_max_retries : int;
-      (** retransmissions after the initial attempt before the sender
-          gives up (receivers are idempotent).  Default 3. *)
   live : live_config option;
       (** in-run reconfiguration.  [None] (the default) keeps the
           configuration static for the whole run — bit-identical to a
