@@ -275,11 +275,11 @@ type live_state = {
   mutable horizon : float;    (* time of the last scheduled injection *)
   mutable reconcile_rounds : int;
   (* Controller replication.  Replica [i] sits at [replica_router.(i)]
-     (replica 0 at the default controller router); the leader is the lowest-id live
-     replica and the only one that proposes, commits, and pushes.  A
-     candidate configuration parks in [pending] while its quorum round
-     is in flight and reaches [configs] only through a commit — the
-     single gate into the staged window. *)
+     (replica 0 at the default controller router); the leader is the
+     lowest-id live replica and the only one that proposes, commits,
+     and pushes.  A candidate configuration parks in [pending] while
+     its quorum round is in flight and reaches [configs] only through a
+     commit — the single gate into the staged window. *)
   mutable leader : int;
   replica_router : int array;
   replica_up : bool array;
@@ -1511,7 +1511,8 @@ let exchange w ls peer ~attempt ~again ~sent ~lost ~partitioned ~exhausted
     in
     if control_loss_draw w || peer_down w ls peer then drop ()
     else begin
-      ignore (Dess.Engine.schedule w.engine ~delay:one_way (fun _ -> arrive ()));
+      ignore
+        (Dess.Engine.schedule w.engine ~delay:one_way (fun _ -> arrive ()));
       match reply with
       | None -> ()
       | Some answer ->
